@@ -73,7 +73,7 @@ pub struct ClusterConfig {
     /// speed throughput-relevant via append backpressure (§7.2's
     /// "thrashing" regime). `None` = unbounded.
     pub unflushed_limit_records: Option<u64>,
-    /// Per-worker duplicate-suppression window for retransmitted batches
+    /// Per-session duplicate-suppression window for retransmitted batches
     /// (see [`crate::worker::WorkerConfig::dedupe_window`]); `0` disables
     /// it. The chaos harness enables it so client retransmission over
     /// lossy links stays exactly-once.

@@ -27,6 +27,7 @@ pub mod message;
 mod metrics;
 pub mod net;
 pub mod proxy;
+mod readiness;
 pub mod tcp;
 pub mod transport;
 pub mod wire;

@@ -78,6 +78,14 @@ metric_fn!(
 );
 
 metric_fn!(
+    /// Times a network-plane I/O thread found no work after spinning and
+    /// blocked in `ppoll(2)` until a socket or its wake handle was ready.
+    pub(crate) fn net_io_waits() -> Counter =
+        ("dpr_net_io_waits_total", Count,
+         "Blocking readiness waits by network-plane I/O threads")
+);
+
+metric_fn!(
     /// Protocol-level rejections emitted as Error frames (bad magic or
     /// version, handshake violations, stale epochs, unknown shards,
     /// duplicate-in-flight).

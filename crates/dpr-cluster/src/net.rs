@@ -3,11 +3,24 @@
 //! One [`NetServer`] hosts *all* of a process's shard workers behind a
 //! single listener. An acceptor thread hands new connections round-robin to
 //! a fixed pool of I/O threads; each I/O thread owns many non-blocking
-//! connections and pumps them in a readiness loop (read → parse frames →
-//! execute → queue responses → flush). Requests are routed to workers by
-//! the frame header's `shard` field, so thousands of client connections
-//! fan in to a handful of threads — replacing the old one-thread-per-
-//! connection blocking stub in [`crate::tcp`].
+//! connections and pumps them in a loop (read → parse frames → execute →
+//! queue responses → flush). Requests are routed to workers by the frame
+//! header's `shard` field, so thousands of client connections fan in to a
+//! handful of threads.
+//!
+//! # Waiting for work
+//!
+//! An I/O thread that finds nothing to do first spins and yields for a few
+//! rounds ([`dpr_core::Backoff`] up to `is_waiting_long`), which is cheap
+//! and keeps a busy thread on its CPU. After that it blocks in `ppoll(2)`
+//! (module `readiness`) with no timeout: read readiness on every open
+//! connection, write readiness on every connection with unsent bytes, and
+//! the thread's own wake handle. A request therefore wakes its thread as
+//! soon as it arrives. The acceptor blocks the same way on the listener
+//! and its wake handle. Two events end a wait that no socket ends: the
+//! acceptor wakes an I/O thread after handing it a connection, and
+//! [`NetServer::shutdown`] (or dropping the server) wakes every thread.
+//! No thread of the plane ever sleeps on a timer.
 //!
 //! Frames on one connection are processed strictly in arrival order and
 //! responses to them are queued in completion order, which for the inline
@@ -42,6 +55,7 @@
 
 use crate::message::{ClusterOp, OpResult};
 use crate::metrics;
+use crate::readiness::{self, PollFd, Wake, POLLIN, POLLOUT};
 use crate::wire::{self, FrameKind, Hello, HelloAck, ProtoError, ProtoErrorCode};
 use crate::worker::Worker;
 use bytes::Bytes;
@@ -50,9 +64,9 @@ use libdpr::BatchHeader;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Tuning knobs for a [`NetServer`].
 #[derive(Debug, Clone)]
@@ -131,7 +145,12 @@ struct Conn {
     wr_pos: usize,
     /// Set by a successful `Hello`.
     session: Option<(SessionId, u32)>,
+    /// Frames are still read and handled. A closed connection lingers only
+    /// until its queued bytes are flushed.
     open: bool,
+    /// The peer has finished sending; set by `fill`, which leaves closing
+    /// to the caller so the frames already buffered are handled first.
+    eof: bool,
 }
 
 impl Conn {
@@ -144,6 +163,7 @@ impl Conn {
             wr_pos: 0,
             session: None,
             open: true,
+            eof: false,
         }
     }
 
@@ -157,24 +177,28 @@ impl Conn {
         metrics::net_frame_bytes().record((self.wr.len() - before) as u64);
     }
 
+    /// Bytes queued but not yet written to the socket.
+    fn has_unsent(&self) -> bool {
+        self.wr_pos < self.wr.len()
+    }
+
     /// Write pending bytes without blocking. Returns whether progress was
-    /// made. Closes the connection on a hard error.
+    /// made. A hard error closes the connection and discards what could
+    /// not be sent, so the connection is not kept waiting for a socket
+    /// that will never take it.
     fn flush(&mut self) -> bool {
         let mut progressed = false;
-        while self.wr_pos < self.wr.len() {
+        while self.has_unsent() {
             match self.stream.write(&self.wr[self.wr_pos..]) {
-                Ok(0) => {
-                    self.open = false;
-                    break;
-                }
-                Ok(n) => {
+                Ok(n) if n > 0 => {
                     self.wr_pos += n;
                     progressed = true;
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => {
+                Ok(_) | Err(_) => {
                     self.open = false;
+                    self.wr_pos = self.wr.len();
                     break;
                 }
             }
@@ -197,10 +221,10 @@ impl Conn {
             scratch.resize(chunk, 0);
             match self.stream.read(scratch) {
                 Ok(0) => {
-                    // EOF: peer closed. Remaining parsed frames still get
+                    // EOF: peer closed. Frames already buffered still get
                     // handled; a dangling partial frame is simply dropped
                     // (the truncation is the peer's, not ours to answer).
-                    self.open = false;
+                    self.eof = true;
                     break;
                 }
                 Ok(n) => {
@@ -481,6 +505,7 @@ fn handle_request(
 
 fn io_loop(
     rx: &crossbeam::channel::Receiver<TcpStream>,
+    wake: &Wake,
     ctx: &Arc<ServerCtx>,
     stop: &Arc<AtomicBool>,
     cfg: &NetServerConfig,
@@ -488,6 +513,7 @@ fn io_loop(
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = IoScratch::new(cfg.read_chunk);
     let mut backoff = dpr_core::Backoff::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     loop {
         let mut progressed = false;
         // Fan-in: adopt connections the acceptor has assigned to us.
@@ -508,25 +534,53 @@ fn io_loop(
             return;
         }
         for conn in &mut conns {
-            progressed |= conn.fill(cfg.read_chunk, &mut scratch.read);
-            progressed |= drain_frames(conn, ctx, &mut scratch);
+            if conn.open {
+                progressed |= conn.fill(cfg.read_chunk, &mut scratch.read);
+                progressed |= drain_frames(conn, ctx, &mut scratch);
+                if conn.eof {
+                    conn.open = false;
+                }
+            }
             progressed |= conn.flush();
         }
         let before = conns.len();
-        conns.retain(|c| c.open || c.wr_pos < c.wr.len());
+        conns.retain(|c| c.open || c.has_unsent());
         metrics::net_conns_active().sub((before - conns.len()) as i64);
         if progressed {
             backoff.reset();
-        } else {
+        } else if !backoff.is_waiting_long() {
             backoff.snooze();
+        } else {
+            // Block until a socket or the wake handle is ready.
+            fds.clear();
+            fds.push(wake.poll_fd());
+            fds.extend(conns.iter().map(|c| {
+                let mut events = if c.open { POLLIN } else { 0 };
+                if c.has_unsent() {
+                    events |= POLLOUT;
+                }
+                PollFd::new(c.stream.as_raw_fd(), events)
+            }));
+            metrics::net_io_waits().inc();
+            // A failed wait (the kernel is out of memory) only costs one
+            // more spin round.
+            let _ = readiness::wait(&mut fds, None);
+            if fds[0].ready() {
+                // Before the loop re-checks the hand-off channel and the
+                // stop flag.
+                wake.clear();
+            }
         }
     }
 }
 
 /// A running network-plane server. Dropping it without calling
-/// [`NetServer::shutdown`] stops the threads but does not join them.
+/// [`NetServer::shutdown`] stops and wakes the threads, which then send
+/// `Goodbye` and exit on their own, but does not join them.
 pub struct NetServer {
     stop: Arc<AtomicBool>,
+    /// Wake handles of the acceptor and of every I/O thread.
+    wakes: Vec<Wake>,
     local_addr: SocketAddr,
     accept: Option<std::thread::JoinHandle<()>>,
     io: Vec<std::thread::JoinHandle<()>>,
@@ -542,18 +596,6 @@ impl NetServer {
         listener: TcpListener,
         config: NetServerConfig,
     ) -> Result<NetServer> {
-        Self::start_with_stop(workers, listener, config, Arc::new(AtomicBool::new(false)))
-    }
-
-    /// [`NetServer::start`] with an externally owned stop flag (the
-    /// [`crate::tcp::serve_worker`] compatibility shim shares one flag
-    /// across several servers).
-    pub fn start_with_stop(
-        workers: Vec<Arc<Worker>>,
-        listener: TcpListener,
-        config: NetServerConfig,
-        stop: Arc<AtomicBool>,
-    ) -> Result<NetServer> {
         if workers.is_empty() {
             return Err(DprError::Invalid(
                 "NetServer needs at least one worker".into(),
@@ -568,55 +610,42 @@ impl NetServer {
             shards,
             epochs: StripedMap::with_default_stripes(),
         });
+        let stop = Arc::new(AtomicBool::new(false));
         let io_threads = config.io_threads.max(1);
+        let accept_wake = Wake::new()?;
+        let io_wakes = (0..io_threads)
+            .map(|_| Wake::new())
+            .collect::<std::io::Result<Vec<Wake>>>()?;
         let mut senders = Vec::with_capacity(io_threads);
         let mut io = Vec::with_capacity(io_threads);
-        for i in 0..io_threads {
+        for (i, wake) in io_wakes.iter().enumerate() {
             let (tx, rx) = crossbeam::channel::unbounded::<TcpStream>();
             senders.push(tx);
+            let wake = wake.clone();
             let ctx = ctx.clone();
             let stop = stop.clone();
             let cfg = config.clone();
             io.push(
                 std::thread::Builder::new()
                     .name(format!("dpr-net-io-{i}"))
-                    .spawn(move || io_loop(&rx, &ctx, &stop, &cfg))
+                    .spawn(move || io_loop(&rx, &wake, &ctx, &stop, &cfg))
                     .expect("spawn net io thread"),
             );
         }
         let accept = {
             let stop = stop.clone();
+            let wake = accept_wake.clone();
+            let io_wakes = io_wakes.clone();
             std::thread::Builder::new()
                 .name("dpr-net-accept".into())
-                .spawn(move || {
-                    let mut next = 0usize;
-                    loop {
-                        if stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                // Round-robin fan-out to the I/O pool.
-                                let _ = senders[next % senders.len()].send(stream);
-                                next = next.wrapping_add(1);
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(1));
-                            }
-                            // Listener gone (closed or errored): stop the
-                            // whole server rather than leaking a dead
-                            // acceptor — I/O threads observe the flag too.
-                            Err(_) => {
-                                stop.store(true, Ordering::Release);
-                                return;
-                            }
-                        }
-                    }
-                })
+                .spawn(move || accept_loop(&listener, &senders, &wake, &io_wakes, &stop))
                 .expect("spawn net accept thread")
         };
+        let mut wakes = io_wakes;
+        wakes.push(accept_wake);
         Ok(NetServer {
             stop,
+            wakes,
             local_addr,
             accept: Some(accept),
             io,
@@ -629,11 +658,19 @@ impl NetServer {
         self.local_addr
     }
 
+    /// Set the stop flag, then wake every thread so it sees it.
+    fn signal_stop(&self) {
+        self.stop.store(true, Ordering::Release);
+        for wake in &self.wakes {
+            wake.wake();
+        }
+    }
+
     /// Signal shutdown and join every thread: the acceptor, then each I/O
     /// thread after it has sent `Goodbye` to its connections. No detached
     /// threads survive.
     pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.signal_stop();
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
@@ -645,6 +682,49 @@ impl NetServer {
 
 impl Drop for NetServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
+        self.signal_stop();
+    }
+}
+
+/// The acceptor: hand each new connection to the next I/O thread in turn
+/// and wake it; block on the listener and `wake` in between.
+fn accept_loop(
+    listener: &TcpListener,
+    senders: &[crossbeam::channel::Sender<TcpStream>],
+    wake: &Wake,
+    io_wakes: &[Wake],
+    stop: &AtomicBool,
+) {
+    let mut next = 0usize;
+    loop {
+        if stop.load(Ordering::Acquire) {
+            return;
+        }
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let i = next % senders.len();
+                let _ = senders[i].send(stream);
+                io_wakes[i].wake();
+                next = next.wrapping_add(1);
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let mut fds = [PollFd::new(listener.as_raw_fd(), POLLIN), wake.poll_fd()];
+                // A failed wait (the kernel is out of memory) only costs
+                // one more `accept` attempt.
+                let _ = readiness::wait(&mut fds, None);
+                if fds[1].ready() {
+                    wake.clear();
+                }
+            }
+            // Listener gone (closed or errored): stop the whole server
+            // rather than leaking a dead acceptor.
+            Err(_) => {
+                stop.store(true, Ordering::Release);
+                for w in io_wakes {
+                    w.wake();
+                }
+                return;
+            }
+        }
     }
 }

@@ -1,10 +1,9 @@
-//! TCP clients for the real network plane, plus the single-worker serving
-//! shim kept for compatibility.
+//! TCP clients for the real network plane.
 //!
 //! The server side lives in [`crate::net`] (non-blocking fan-in
-//! [`NetServer`]); the byte-level contract lives in [`crate::wire`] and is
-//! specified in `docs/NETWORK.md`. This module provides the two client
-//! shapes:
+//! [`NetServer`](crate::NetServer)); the byte-level contract lives in
+//! [`crate::wire`] and is specified in `docs/NETWORK.md`. This module
+//! provides the two client shapes:
 //!
 //! * [`TcpClient`] — synchronous request/response, one batch at a time,
 //!   with a configurable read deadline. The simplest correct client; used
@@ -17,21 +16,23 @@
 //!   retransmission record, receive buffers are pooled, and response
 //!   bodies land in pooled shared buffers whose values are zero-copy
 //!   views ([`bytes::Bytes`]).
+//!
+//! Both keep their socket non-blocking: a receive reads whatever is ready
+//! and, only if nothing was, blocks in `ppoll(2)` (module `readiness`)
+//! for exactly the time the caller allows. A send that finds the socket
+//! buffer full blocks the same way until it has room.
 
 use crate::message::{ClusterOp, OpResult};
-use crate::net::{NetServer, NetServerConfig};
+use crate::readiness::{self, POLLIN, POLLOUT};
 use crate::wire::{
     self, CutResponse, Frame, FrameKind, Hello, HelloAck, ProtoError, ProtoErrorCode,
 };
-use crate::worker::Worker;
 use bytes::Bytes;
 use dpr_core::{BufferPool, DprError, Result, ScratchLease, ShardId, WorldLine};
 use libdpr::{BatchHeader, DprClientSession};
 use std::collections::HashMap;
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 pub use crate::wire::{WireRequest, WireResponse};
@@ -45,37 +46,8 @@ pub const DEFAULT_READ_TIMEOUT: Duration = Duration::from_secs(10);
 /// batch completes.
 const SPARE_BUFFERS: usize = 256;
 
-/// Serve one `worker` on `listener` until `stop` is set.
-///
-/// Compatibility shim over [`NetServer`]: the returned handle joins the
-/// server's acceptor and I/O threads before finishing, so — unlike the old
-/// blocking stub — setting `stop` and joining the handle leaks nothing,
-/// and closing the listener (from the OS side) also winds the server down.
-pub fn serve_worker(
-    worker: Arc<Worker>,
-    listener: TcpListener,
-    stop: Arc<AtomicBool>,
-) -> std::thread::JoinHandle<()> {
-    let name = format!("tcp-worker-{}", worker.shard().0);
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || {
-            let cfg = NetServerConfig {
-                io_threads: 1,
-                ..NetServerConfig::default()
-            };
-            match NetServer::start_with_stop(vec![worker], listener, cfg, stop.clone()) {
-                Ok(server) => {
-                    while !stop.load(Ordering::Acquire) {
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                    server.shutdown();
-                }
-                Err(_) => stop.store(true, Ordering::Release),
-            }
-        })
-        .expect("spawn tcp server")
-}
+/// Bytes one receive call reads from the socket at most.
+const READ_CHUNK: usize = 64 << 10;
 
 /// One framed connection with pooled receive and encode buffers.
 struct FramedConn {
@@ -92,6 +64,7 @@ impl FramedConn {
     fn dial(addr: SocketAddr) -> Result<FramedConn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
+        stream.set_nonblocking(true)?;
         let pool = BufferPool::global();
         Ok(FramedConn {
             addr,
@@ -107,15 +80,13 @@ impl FramedConn {
     fn send_with<F: FnOnce(&mut Vec<u8>)>(&mut self, f: F) -> Result<()> {
         self.enc.clear();
         f(&mut self.enc);
-        self.stream.write_all(&self.enc)?;
-        Ok(())
+        write_all(&self.stream, &self.enc)
     }
 
     /// Write an already-encoded frame (a [`PipelinedClient`] in-flight
     /// record) verbatim.
     fn send_bytes(&mut self, frame: &[u8]) -> Result<()> {
-        self.stream.write_all(frame)?;
-        Ok(())
+        write_all(&self.stream, frame)
     }
 
     /// Pop the next complete frame from the buffer, if any (owned-`Frame`
@@ -158,57 +129,49 @@ impl FramedConn {
             if let Some(frame) = self.pop_frame()? {
                 return Ok(frame);
             }
+            if self.read_ready()? {
+                continue;
+            }
             let remaining = deadline
                 .checked_duration_since(Instant::now())
                 .ok_or(DprError::Timeout)?;
-            self.stream
-                .set_read_timeout(Some(remaining.max(Duration::from_millis(1))))?;
-            let mut chunk = [0u8; 16 << 10];
+            readiness::wait_one(&self.stream, POLLIN, Some(remaining))?;
+        }
+    }
+
+    /// Read whatever is available; only if nothing is, wait up to `wait`
+    /// for bytes to arrive.
+    fn recv_available(&mut self, wait: Duration) -> Result<()> {
+        if !self.read_ready()? && !wait.is_zero() {
+            readiness::wait_one(&self.stream, POLLIN, Some(wait))?;
+            self.read_ready()?;
+        }
+        Ok(())
+    }
+
+    /// Read the bytes the socket has ready, without blocking. Returns
+    /// whether any arrived; [`DprError::Closed`] if the peer closed and
+    /// nothing did. A short read means the socket was drained, so it ends
+    /// the call without one more `read` to see `WouldBlock`.
+    fn read_ready(&mut self) -> Result<bool> {
+        let mut chunk = [0u8; READ_CHUNK];
+        let mut got = false;
+        loop {
             match self.stream.read(&mut chunk) {
+                Ok(0) if got => return Ok(true),
                 Ok(0) => return Err(DprError::Closed),
-                Ok(n) => self.rd.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut => {}
+                Ok(n) => {
+                    self.rd.extend_from_slice(&chunk[..n]);
+                    got = true;
+                    if n < READ_CHUNK {
+                        return Ok(true);
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => return Ok(got),
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e.into()),
             }
         }
-    }
-
-    /// Read whatever is available without exceeding `wait`.
-    fn recv_available(&mut self, wait: Duration) -> Result<()> {
-        self.stream
-            .set_read_timeout(Some(wait.max(Duration::from_millis(1))))?;
-        let mut chunk = [0u8; 64 << 10];
-        match self.stream.read(&mut chunk) {
-            Ok(0) => return Err(DprError::Closed),
-            Ok(n) => {
-                self.rd.extend_from_slice(&chunk[..n]);
-                // Drain the rest of the ready bytes without waiting again.
-                self.stream.set_read_timeout(None)?;
-                self.stream.set_nonblocking(true)?;
-                loop {
-                    match self.stream.read(&mut chunk) {
-                        Ok(0) => break,
-                        Ok(n) => self.rd.extend_from_slice(&chunk[..n]),
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                        Err(e) => {
-                            self.stream.set_nonblocking(false)?;
-                            return Err(e.into());
-                        }
-                    }
-                }
-                self.stream.set_nonblocking(false)?;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e.into()),
-        }
-        Ok(())
     }
 
     /// Run the handshake on a fresh connection.
@@ -240,6 +203,23 @@ impl FramedConn {
             k => Err(DprError::Invalid(format!("expected HelloAck, got {k:?}"))),
         }
     }
+}
+
+/// Write all of `buf` to the non-blocking `stream`, waiting for room in
+/// the socket buffer whenever it is full.
+fn write_all(mut stream: &TcpStream, mut buf: &[u8]) -> Result<()> {
+    while !buf.is_empty() {
+        match stream.write(buf) {
+            Ok(0) => return Err(DprError::Closed),
+            Ok(n) => buf = &buf[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                readiness::wait_one(stream, POLLOUT, None)?;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
+    Ok(())
 }
 
 /// A synchronous TCP client multiplexing one [`DprClientSession`] over the

@@ -82,11 +82,13 @@ pub struct WorkerConfig {
     pub validate_ownership: bool,
     /// Fast-forward lagging checkpoints to the cluster `Vmax` (§3.4).
     pub fast_forward: bool,
-    /// Remember the replies of the last `dedupe_window` remote batches
-    /// per worker and replay them on duplicate delivery instead of
-    /// re-executing, keeping non-idempotent ops exactly-once when clients
-    /// retransmit over lossy links. `0` (the default) disables the cache;
-    /// the chaos harness enables it alongside client retransmission.
+    /// Remember the replies of at least the last `dedupe_window` remote
+    /// batches of every session (the cache is striped by session and each
+    /// stripe holds this many) and replay them on duplicate delivery
+    /// instead of re-executing, keeping non-idempotent ops exactly-once
+    /// when clients retransmit over lossy links. `0` (the default)
+    /// disables the cache; the chaos harness enables it alongside client
+    /// retransmission.
     pub dedupe_window: usize,
 }
 
@@ -157,9 +159,6 @@ pub struct Worker {
     /// the rolled-back world-line forces clients to rebuild their sessions
     /// anyway).
     dedupe: Box<[DedupeStripe]>,
-    /// FIFO window per dedupe stripe (`config.dedupe_window` split across
-    /// the stripes).
-    dedupe_stripe_window: usize,
     /// TTL + world-line-fenced `(world_line, cut)` cache served to `CutReq`
     /// frames, so commit polling from many clients does not clone the cut
     /// out of the metadata store per request. Staleness is bounded by
@@ -192,7 +191,6 @@ impl Worker {
             .unwrap_or(1)
             .next_power_of_two()
             .min(16);
-        let dedupe_stripe_window = config.dedupe_window.div_ceil(stripes).max(1);
         let worker = Arc::new(Worker {
             shard,
             store,
@@ -209,7 +207,6 @@ impl Worker {
             dedupe: (0..stripes)
                 .map(|_| DedupeStripe(parking_lot::Mutex::new(DedupeCache::default())))
                 .collect(),
-            dedupe_stripe_window,
             cut_lease: CutLease::new(CUT_CACHE_TTL),
         });
         for i in 0..worker.config.executors.max(1) {
@@ -386,7 +383,10 @@ impl Worker {
             None => {
                 cache.entries.insert(key, DedupeEntry::Executing);
                 cache.order.push_back(key);
-                while cache.order.len() > self.dedupe_stripe_window {
+                // The whole window per stripe: a session's history must not
+                // shrink with the stripe count (a retransmit of a batch
+                // evicted early would execute twice).
+                while cache.order.len() > self.config.dedupe_window {
                     if let Some(old) = cache.order.pop_front() {
                         if let Some(DedupeEntry::Done(_, buf)) = cache.entries.remove(&old) {
                             if cache.spare.len() < DEDUPE_SPARE_BUFFERS {

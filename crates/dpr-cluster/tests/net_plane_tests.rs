@@ -377,6 +377,146 @@ fn tcp_client_execute_times_out_against_hung_worker() {
 }
 
 // ---------------------------------------------------------------------------
+// Readiness: idle I/O threads block in ppoll and must wake for every event
+// ---------------------------------------------------------------------------
+
+/// Long enough for every idle server thread to pass its spin phase and
+/// block in its readiness wait.
+const IDLE: Duration = Duration::from_millis(50);
+
+/// Connect a raw socket and complete the handshake for `session`.
+fn raw_session(addr: std::net::SocketAddr, session: SessionId) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = Hello {
+        session,
+        epoch: 1,
+        world_line: WorldLine(1),
+    };
+    let mut buf = Vec::new();
+    hello.to_frame().encode_into(&mut buf);
+    stream.write_all(&buf).unwrap();
+    assert_eq!(read_one_frame(&mut stream).kind, FrameKind::HelloAck);
+    stream
+}
+
+#[test]
+fn request_after_idle_period_is_answered() {
+    let (cluster, server) = net_cluster(1, 0);
+    let shard = cluster.workers()[0].shard();
+    let addrs: HashMap<ShardId, _> = [(shard, server.local_addr())].into_iter().collect();
+    let mut client = TcpClient::connect(DprClientSession::new(SessionId(940)), &addrs).unwrap();
+    let waits = dpr_telemetry::global().counter(
+        "dpr_net_io_waits_total",
+        dpr_telemetry::Unit::Count,
+        "Blocking readiness waits by network-plane I/O threads",
+    );
+    for i in 0..3u64 {
+        let before = waits.get();
+        std::thread::sleep(IDLE);
+        assert!(waits.get() > before, "an idle I/O thread must block");
+        let key = Key::from_u64(i);
+        let results = client
+            .execute(shard, vec![ClusterOp::Upsert(key, Value::from_u64(i))])
+            .unwrap();
+        assert_eq!(results, vec![OpResult::Done]);
+    }
+
+    server.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn connection_accepted_while_io_threads_are_parked_gets_hello_ack() {
+    let (cluster, server) = net_cluster(1, 0);
+    let addr = server.local_addr();
+    // More connections than I/O threads, each arriving at an idle server,
+    // so every thread is handed a connection while it is blocked.
+    let mut peers = Vec::new();
+    for i in 0..4u64 {
+        std::thread::sleep(IDLE);
+        peers.push(raw_session(addr, SessionId(945 + i)));
+    }
+
+    server.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn write_backlog_beyond_socket_buffers_drains() {
+    let (cluster, server) = net_cluster(1, 0);
+    let shard = cluster.workers()[0].shard();
+    let mut client =
+        PipelinedClient::connect(DprClientSession::new(SessionId(950)), server.local_addr())
+            .unwrap();
+    let key = Key::from_u64(7);
+    let big = Value(bytes::Bytes::from(vec![0xA5u8; 32 << 10]));
+    client
+        .issue(shard, &[ClusterOp::Upsert(key.clone(), big.clone())])
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while client.inflight() > 0 {
+        assert!(Instant::now() < deadline, "upsert stalled");
+        for done in client.poll(Duration::from_millis(10)).unwrap() {
+            done.result.unwrap();
+        }
+    }
+
+    // 48 responses of 16 × 32 KiB = 24 MiB, issued without reading: far
+    // more than loopback socket buffers hold while the client does not
+    // read (the receive buffer only grows as the application reads). The
+    // server queues the rest and must resume flushing when the client
+    // starts reading, long after it went idle.
+    const BATCHES: usize = 48;
+    let reads = vec![ClusterOp::Read(key); 16];
+    for _ in 0..BATCHES {
+        client.issue(shard, &reads).unwrap();
+    }
+    std::thread::sleep(IDLE);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let mut completed = 0;
+    while completed < BATCHES {
+        assert!(Instant::now() < deadline, "response backlog never drained");
+        for done in client.poll(Duration::from_millis(10)).unwrap() {
+            let results = done.result.unwrap();
+            assert_eq!(results.len(), reads.len());
+            assert!(results
+                .iter()
+                .all(|r| *r == OpResult::Value(Some(big.clone()))));
+            completed += 1;
+        }
+    }
+
+    server.shutdown();
+    cluster.shutdown();
+}
+
+#[test]
+fn shutdown_and_drop_wake_parked_threads_and_send_goodbye() {
+    for (round, drop_it) in [(0u64, false), (1, true)] {
+        let (cluster, server) = net_cluster(1, 0);
+        let addr = server.local_addr();
+        let mut peers: Vec<TcpStream> = (0..3)
+            .map(|i| raw_session(addr, SessionId(960 + 10 * round + i)))
+            .collect();
+        std::thread::sleep(IDLE);
+        let start = Instant::now();
+        if drop_it {
+            drop(server);
+        } else {
+            server.shutdown();
+        }
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "stop took too long"
+        );
+        for peer in &mut peers {
+            assert_eq!(read_one_frame(peer).kind, FrameKind::Goodbye);
+        }
+        cluster.shutdown();
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Frame encode/decode property tests
 // ---------------------------------------------------------------------------
 

@@ -1,23 +1,16 @@
 //! The TCP serving layer: the same protocol over real sockets.
 
-use dpr_cluster::tcp::{serve_worker, TcpClient};
-use dpr_cluster::{Cluster, ClusterConfig, ClusterOp, OpResult};
+use dpr_cluster::tcp::TcpClient;
+use dpr_cluster::{Cluster, ClusterConfig, ClusterOp, NetServer, NetServerConfig, OpResult};
 use dpr_core::{Key, SessionId, ShardId, Value};
 use libdpr::DprClientSession;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
-fn tcp_cluster(
-    shards: usize,
-) -> (
-    Cluster,
-    HashMap<ShardId, SocketAddr>,
-    Arc<AtomicBool>,
-    Vec<std::thread::JoinHandle<()>>,
-) {
+/// A cluster with each worker behind its own single-threaded server, so
+/// the client holds one connection per shard.
+fn tcp_cluster(shards: usize) -> (Cluster, HashMap<ShardId, SocketAddr>, Vec<NetServer>) {
     let cluster = Cluster::start(ClusterConfig {
         shards,
         checkpoint_interval: Some(Duration::from_millis(20)),
@@ -25,20 +18,23 @@ fn tcp_cluster(
         ..ClusterConfig::default()
     })
     .unwrap();
-    let stop = Arc::new(AtomicBool::new(false));
     let mut addrs = HashMap::new();
-    let mut handles = Vec::new();
+    let mut servers = Vec::new();
     for w in cluster.workers() {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         addrs.insert(w.shard(), listener.local_addr().unwrap());
-        handles.push(serve_worker(w.clone(), listener, stop.clone()));
+        let config = NetServerConfig {
+            io_threads: 1,
+            ..NetServerConfig::default()
+        };
+        servers.push(NetServer::start(vec![w.clone()], listener, config).unwrap());
     }
-    (cluster, addrs, stop, handles)
+    (cluster, addrs, servers)
 }
 
 #[test]
 fn ops_and_commits_flow_over_real_sockets() {
-    let (cluster, addrs, stop, handles) = tcp_cluster(2);
+    let (cluster, addrs, servers) = tcp_cluster(2);
     let mut client = TcpClient::connect(DprClientSession::new(SessionId(100)), &addrs).unwrap();
 
     // Route keys the same way the cluster does and write over TCP.
@@ -71,16 +67,15 @@ fn ops_and_commits_flow_over_real_sockets() {
     }
     assert_eq!(client.session_mut().committed_count(), 100);
 
-    stop.store(true, Ordering::Release);
-    for h in handles {
-        let _ = h.join();
+    for server in servers {
+        server.shutdown();
     }
     cluster.shutdown();
 }
 
 #[test]
 fn tcp_client_observes_failures_via_world_line() {
-    let (cluster, addrs, stop, handles) = tcp_cluster(2);
+    let (cluster, addrs, servers) = tcp_cluster(2);
     let mut client = TcpClient::connect(DprClientSession::new(SessionId(101)), &addrs).unwrap();
     let key = Key::from_u64(1);
     let shard = cluster.owner_of(&key).unwrap();
@@ -108,16 +103,15 @@ fn tcp_client_observes_failures_via_world_line() {
     let results = client.execute(shard, vec![ClusterOp::Read(key)]).unwrap();
     assert!(matches!(results[0], OpResult::Value(_)));
 
-    stop.store(true, Ordering::Release);
-    for h in handles {
-        let _ = h.join();
+    for server in servers {
+        server.shutdown();
     }
     cluster.shutdown();
 }
 
 #[test]
 fn mixed_bus_and_tcp_clients_share_one_cluster() {
-    let (cluster, addrs, stop, handles) = tcp_cluster(2);
+    let (cluster, addrs, servers) = tcp_cluster(2);
     // A bus client writes...
     let mut bus = cluster.open_session().unwrap();
     bus.execute(vec![ClusterOp::Upsert(
@@ -133,9 +127,8 @@ fn mixed_bus_and_tcp_clients_share_one_cluster() {
         .unwrap();
     assert_eq!(results[0], OpResult::Value(Some(Value::from_u64(77))));
 
-    stop.store(true, Ordering::Release);
-    for h in handles {
-        let _ = h.join();
+    for server in servers {
+        server.shutdown();
     }
     cluster.shutdown();
 }

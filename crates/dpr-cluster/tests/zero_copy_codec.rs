@@ -21,6 +21,7 @@ use libdpr::{BatchHeader, BatchReply};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::OnceLock;
 
 // ---------------------------------------------------------------------------
 // Per-thread counting allocator: the whole test binary runs under it, and
@@ -77,6 +78,14 @@ fn steady_header(session: u64, first_serial: u64) -> BatchHeader {
     }
 }
 
+/// The pool the allocation test draws bodies from. Not the global pool:
+/// its stripes are shared with the other tests in this binary, whose live
+/// buffers can make this thread's acquire miss and allocate.
+fn cycle_pool() -> &'static BufferPool {
+    static POOL: OnceLock<&'static BufferPool> = OnceLock::new();
+    POOL.get_or_init(|| BufferPool::leaked(1))
+}
+
 /// One full server-side frame cycle out of warm buffers: encode a request,
 /// lift the body into a pooled shared buffer, decode it zero-copy, then
 /// encode the response. Returns the decoded op count (consumed by the
@@ -95,7 +104,7 @@ fn request_response_cycle(
 
     let h = wire::decode_header(enc).unwrap().expect("complete frame");
     let body_bytes = &enc[wire::FRAME_HEADER_LEN..h.frame_len()];
-    let mut lease = BufferPool::global().acquire_shared(body_bytes.len());
+    let mut lease = cycle_pool().acquire_shared(body_bytes.len());
     lease.data_mut()[..body_bytes.len()].copy_from_slice(body_bytes);
     let body = lease.freeze(body_bytes.len());
 

@@ -51,12 +51,14 @@ impl Backoff {
         self.step = 0;
     }
 
-    /// True once the backoff has escalated past spinning — the hint that a
-    /// wait is no longer "momentary" (useful for deadline checks that are
-    /// too expensive to evaluate every spin).
+    /// True once the spin and yield steps are spent, so the next
+    /// [`Backoff::snooze`] would sleep — the hint that a wait is no longer
+    /// "momentary" (useful for deadline checks that are too expensive to
+    /// evaluate every spin, and for callers that block on an event
+    /// instead of sleeping).
     #[must_use]
     pub fn is_waiting_long(&self) -> bool {
-        self.step > YIELD_LIMIT
+        self.step >= YIELD_LIMIT
     }
 
     /// Wait one escalating step: `2^n` spin-loop hints while in the spin
@@ -86,8 +88,9 @@ mod tests {
     #[test]
     fn escalates_through_regimes() {
         let mut b = Backoff::new();
-        assert!(!b.is_waiting_long());
-        for _ in 0..=YIELD_LIMIT {
+        // Not "long" while a snooze would still spin or yield.
+        for _ in 0..YIELD_LIMIT {
+            assert!(!b.is_waiting_long());
             b.snooze();
         }
         assert!(b.is_waiting_long());
