@@ -10,10 +10,26 @@
 use crate::message::{ClusterOp, OpResult};
 use crate::worker::ShardStore;
 use dpr_core::{Result, SessionId, ShardId, StripedMap, Value, Version};
-use dpr_faster::{FasterKv, OpOutcome, Session};
+use dpr_faster::{AsBatchOp, BatchOp, FasterKv, OpOutcome, RmwFn, Session};
 use libdpr::{CommitDescriptor, StateObject};
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 use std::time::Duration;
+
+/// The update `ClusterOp::Incr` applies: a u64 counter, absent = 0.
+static INCR: LazyLock<RmwFn> = LazyLock::new(|| {
+    Arc::new(|old: Option<&Value>| Value::from_u64(old.and_then(Value::as_u64).unwrap_or(0) + 1))
+});
+
+impl AsBatchOp for ClusterOp {
+    fn as_batch_op(&self) -> BatchOp<'_> {
+        match self {
+            ClusterOp::Read(k) => BatchOp::Read(k),
+            ClusterOp::Upsert(k, v) => BatchOp::Upsert(k, v),
+            ClusterOp::Incr(k) => BatchOp::Rmw(k, &INCR),
+            ClusterOp::Delete(k) => BatchOp::Delete(k),
+        }
+    }
+}
 
 enum Slot {
     Idle(Session),
@@ -104,48 +120,35 @@ impl ShardStore for FasterShard {
             // completion fills it in. Reused buffers make this allocation-
             // free in steady state.
             out.resize(base + ops.len(), OpResult::Value(None));
-            let mut pending: Vec<(u64, usize)> = Vec::new();
-            let mut version = Version::ZERO;
-            for (i, op) in ops.iter().enumerate() {
-                let outcome = match op {
-                    ClusterOp::Read(k) => session.read(k)?,
-                    ClusterOp::Upsert(k, v) => session.upsert(k.clone(), v.clone())?,
-                    ClusterOp::Incr(k) => session.rmw(k.clone(), |old| {
-                        Value::from_u64(old.and_then(|v| v.as_u64()).unwrap_or(0) + 1)
-                    })?,
-                    ClusterOp::Delete(k) => session.delete(k.clone())?,
-                };
+            // A batch's serials are consecutive: op `i` gets `first + i`.
+            let mut first_serial = 0;
+            let mut pending = false;
+            let mut version = session.execute_batch(ops, |i, outcome| {
+                first_serial = outcome.serial() - i as u64;
                 match outcome {
-                    OpOutcome::Read {
-                        value, version: v, ..
-                    } => {
-                        version = version.max(v);
-                        out[base + i] = OpResult::Value(value);
-                    }
-                    OpOutcome::Mutated { version: v, .. } => {
-                        version = version.max(v);
-                        out[base + i] = OpResult::Done;
-                    }
-                    OpOutcome::Pending(t) => pending.push((t.serial, i)),
+                    OpOutcome::Read { value, .. } => out[base + i] = OpResult::Value(value),
+                    OpOutcome::Mutated { .. } => out[base + i] = OpResult::Done,
+                    OpOutcome::Pending(_) => pending = true,
                 }
-            }
-            if !pending.is_empty() {
+            })?;
+            if pending {
                 // Remote execution resolves PENDINGs before replying (the
                 // background-thread path of §5.2).
-                let completed = session.complete_pending()?;
-                for c in completed {
-                    if let Some(&(_, idx)) = pending.iter().find(|(serial, _)| *serial == c.serial)
-                    {
-                        version = version.max(c.version);
-                        out[base + idx] = match &ops[idx] {
-                            ClusterOp::Read(_) => OpResult::Value(c.value.clone()),
-                            _ => OpResult::Done,
-                        };
-                    }
+                for c in session.complete_pending()? {
+                    let Some(idx) = c
+                        .serial
+                        .checked_sub(first_serial)
+                        .map(|i| i as usize)
+                        .filter(|&i| i < ops.len())
+                    else {
+                        continue;
+                    };
+                    version = version.max(c.version);
+                    out[base + idx] = match &ops[idx] {
+                        ClusterOp::Read(_) => OpResult::Value(c.value),
+                        _ => OpResult::Done,
+                    };
                 }
-            }
-            if version == Version::ZERO {
-                version = self.kv.current_version();
             }
             Ok(version)
         })();
@@ -244,6 +247,45 @@ mod tests {
         assert_eq!(results[1], OpResult::Value(Some(Value::from_u64(10))));
         assert_eq!(results[4], OpResult::Value(Some(Value::from_u64(2))));
         assert_eq!(results[6], OpResult::Value(None));
+    }
+
+    #[test]
+    fn pending_ops_resolve_in_batch_order() {
+        let kv = FasterKv::new(
+            FasterConfig {
+                index_buckets: 1 << 10,
+                memory_budget_records: 0,
+                auto_maintenance: false,
+                ..FasterConfig::default()
+            },
+            Arc::new(MemLogDevice::null()),
+            Arc::new(MemBlobStore::new()),
+        );
+        let s = FasterShard::new(ShardId(0), kv);
+        let fill: Vec<ClusterOp> = (0..40_000u64)
+            .map(|i| ClusterOp::Upsert(Key::from_u64(i), Value::from_u64(i)))
+            .collect();
+        s.execute_batch(SessionId(1), &fill).unwrap();
+        s.request_commit(None);
+        assert!(s.kv().wait_for_durable(Version(1), Duration::from_secs(30)));
+        s.kv().force_evict();
+        // Keys 3 and 5 live on the device: the read and the increment go
+        // PENDING and must resolve as if executed in place in the batch.
+        let ops = vec![
+            ClusterOp::Read(Key::from_u64(3)),
+            ClusterOp::Upsert(Key::from_u64(3), Value::from_u64(33)),
+            ClusterOp::Incr(Key::from_u64(5)),
+            ClusterOp::Read(Key::from_u64(3)),
+        ];
+        let (results, _) = s.execute_batch(SessionId(1), &ops).unwrap();
+        assert_eq!(results[0], OpResult::Value(Some(Value::from_u64(3))));
+        assert_eq!(results[1], OpResult::Done);
+        assert_eq!(results[2], OpResult::Done);
+        assert_eq!(results[3], OpResult::Value(Some(Value::from_u64(33))));
+        let (results, _) = s
+            .execute_batch(SessionId(1), &[ClusterOp::Read(Key::from_u64(5))])
+            .unwrap();
+        assert_eq!(results[0], OpResult::Value(Some(Value::from_u64(6))));
     }
 
     #[test]

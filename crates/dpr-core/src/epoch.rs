@@ -108,6 +108,15 @@ impl LightEpoch {
     /// Panics if all slots are occupied — size the table for your thread
     /// count.
     pub fn protect_hinted(&self, hint: usize) -> EpochGuard<'_> {
+        EpochGuard {
+            epoch: self,
+            slot: self.acquire_slot(hint),
+        }
+    }
+
+    /// Publish the current epoch in the first free slot at or after
+    /// `hint % slots` and return its index. Also drains ready actions.
+    fn acquire_slot(&self, hint: usize) -> usize {
         let e = self.current.load(Ordering::Acquire);
         let n = self.slots.len();
         let start = hint % n;
@@ -120,10 +129,7 @@ impl LightEpoch {
                     .is_ok()
             {
                 self.try_drain();
-                return EpochGuard {
-                    epoch: self,
-                    slot: i,
-                };
+                return i;
             }
         }
         panic!("LightEpoch: no free slot ({} threads)", self.slots.len());
@@ -226,6 +232,28 @@ impl EpochGuard<'_> {
     pub fn refresh(&self) {
         self.epoch.refresh(self);
     }
+
+    /// Drop protection while `f` runs, then protect again at the current
+    /// epoch. For work that may block (backpressure, device reads, sleeps)
+    /// in the middle of a guarded loop: while unprotected, this thread
+    /// holds back no drain action. Taking `&mut self` means no reference
+    /// obtained under the guard can be alive across the call.
+    pub fn suspend_while<R>(&mut self, f: impl FnOnce() -> R) -> R {
+        /// Re-protects on the way out, also when `f` unwinds, so the
+        /// guard never clears a slot another thread has taken since.
+        struct Reprotect<'g, 'e>(&'g mut EpochGuard<'e>);
+        impl Drop for Reprotect<'_, '_> {
+            fn drop(&mut self) {
+                self.0.slot = self.0.epoch.acquire_slot(self.0.slot);
+            }
+        }
+        self.epoch.slots[self.slot]
+            .0
+            .store(UNPROTECTED, Ordering::Release);
+        self.epoch.try_drain();
+        let _reprotect = Reprotect(self);
+        f()
+    }
 }
 
 impl Drop for EpochGuard<'_> {
@@ -296,6 +324,25 @@ mod tests {
         assert_eq!(epoch.safe_epoch(), 2);
         drop(g);
         assert_eq!(epoch.safe_epoch(), 3);
+    }
+
+    #[test]
+    fn suspended_guard_lets_drains_fire_and_reprotects() {
+        let epoch = LightEpoch::new(2);
+        let fired = Arc::new(AtomicBool::new(false));
+        let mut g = epoch.protect();
+        let f = fired.clone();
+        epoch.bump_with(move || f.store(true, Ordering::SeqCst));
+        assert!(!fired.load(Ordering::SeqCst), "g pins the pre-bump epoch");
+        let inside = g.suspend_while(|| {
+            assert!(epoch.quiescent(), "no slot is held while suspended");
+            fired.load(Ordering::SeqCst)
+        });
+        assert!(inside, "the drain fired while the guard was suspended");
+        assert!(!epoch.quiescent(), "the guard is protected again");
+        assert_eq!(epoch.safe_epoch(), epoch.current() - 1);
+        drop(g);
+        assert!(epoch.quiescent());
     }
 
     #[test]

@@ -12,6 +12,20 @@ use crate::record::NONE_ADDRESS;
 use dpr_core::Key;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Hint the CPU to pull the cache line at `p` into L1. Never faults, so
+/// `p` may be stale or dangling; a no-op off x86-64.
+#[inline(always)]
+pub(crate) fn prefetch_line<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `prefetch` is a hint that performs no access that can fault;
+    // SSE is part of the x86-64 baseline.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch(p.cast::<i8>(), core::arch::x86_64::_MM_HINT_T0);
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
+}
+
 /// The hash index.
 pub struct HashIndex {
     buckets: Box<[AtomicU64]>,
@@ -38,13 +52,28 @@ impl HashIndex {
     }
 
     fn bucket_for(&self, key: &Key) -> &AtomicU64 {
-        &self.buckets[(key.hash64() & self.mask) as usize]
+        self.bucket_at(key.hash64())
+    }
+
+    fn bucket_at(&self, hash: u64) -> &AtomicU64 {
+        &self.buckets[(hash & self.mask) as usize]
+    }
+
+    /// Prefetch the bucket of the key whose [`Key::hash64`] is `hash`.
+    pub fn prefetch(&self, hash: u64) {
+        prefetch_line(self.bucket_at(hash));
     }
 
     /// Head address of the chain for `key`, or [`NONE_ADDRESS`].
     #[must_use]
     pub fn head(&self, key: &Key) -> u64 {
-        match self.bucket_for(key).load(Ordering::Acquire) {
+        self.head_hashed(key.hash64())
+    }
+
+    /// [`HashIndex::head`] for a key already hashed with [`Key::hash64`].
+    #[must_use]
+    pub fn head_hashed(&self, hash: u64) -> u64 {
+        match self.bucket_at(hash).load(Ordering::Acquire) {
             0 => NONE_ADDRESS,
             a => a - 1,
         }
@@ -54,7 +83,13 @@ impl HashIndex {
     /// `expected` (or empty when `expected == NONE_ADDRESS`). Returns the
     /// observed head on failure so the caller can re-link and retry.
     pub fn try_publish(&self, key: &Key, expected: u64, new_addr: u64) -> Result<(), u64> {
-        let bucket = self.bucket_for(key);
+        self.try_publish_hashed(key.hash64(), expected, new_addr)
+    }
+
+    /// [`HashIndex::try_publish`] for a key already hashed with
+    /// [`Key::hash64`].
+    pub fn try_publish_hashed(&self, hash: u64, expected: u64, new_addr: u64) -> Result<(), u64> {
+        let bucket = self.bucket_at(hash);
         let expected_raw = if expected == NONE_ADDRESS {
             0
         } else {

@@ -29,15 +29,21 @@
 //!
 //! Readers resolve addresses under an [`EpochGuard`] from the log's
 //! [`LightEpoch`]. Eviction flips a frame `RESIDENT → RECLAIMING`,
-//! advances `head`, then calls `quiesce()` once for the whole batch
-//! before freeing any buffer — so a [`RecordView`] obtained under a
-//! guard stays valid until the guard is dropped or refreshed, even if
-//! the page is concurrently evicted. The rules for callers:
+//! advances `head`, unlinks the frame buffers from their slots, and
+//! hands them to a deferred drain action (`LightEpoch::bump_with`) that
+//! returns them to the frame freelist once every guard that predates the
+//! eviction has been dropped or refreshed. So a [`RecordView`] obtained
+//! under a guard stays valid until the guard is dropped or refreshed,
+//! even if the page is concurrently evicted — and the evictor itself
+//! never waits for readers. The rules for callers:
 //!
 //! * acquire the guard **before** calling [`RecordLog::get`], and do not
 //!   use a view after dropping or refreshing the guard;
-//! * never call [`RecordLog::evict_to`] / [`RecordLog::maybe_evict`]
-//!   while holding a guard (quiesce would wait on the caller itself).
+//! * never wait on anything while holding a guard for long (drop it, or
+//!   use [`EpochGuard::suspend_while`]): a held guard defers the reuse of
+//!   every frame evicted since it was taken. [`RecordLog::append`] may
+//!   stall on backpressure; guarded callers use
+//!   [`RecordLog::try_append`] and stall outside the guard.
 //!
 //! Appends need no guard: eviction is clamped to the flushed frontier,
 //! and the flusher spins on the not-yet-`READY` header of an in-flight
@@ -175,7 +181,9 @@ pub struct RecordLog {
     device: Arc<dyn LogDevice>,
     segments: RwLock<Vec<Segment>>,
     flush_state: Mutex<FlushScratch>,
-    free_frames: Mutex<Vec<usize>>,
+    /// Zeroable frames for reuse. Shared with the deferred drain actions
+    /// that hand evicted frames back once their grace period ends.
+    free_frames: Arc<Mutex<Vec<usize>>>,
 }
 
 impl RecordLog {
@@ -197,7 +205,7 @@ impl RecordLog {
             device,
             segments: RwLock::new(Vec::new()),
             flush_state: Mutex::new(FlushScratch::default()),
-            free_frames: Mutex::new(Vec::new()),
+            free_frames: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -307,13 +315,21 @@ impl RecordLog {
         p
     }
 
-    fn release_frame(&self, p: *mut u8) {
-        let mut free = self.free_frames.lock();
-        if free.len() < FREELIST_CAP {
-            free.push(p as usize);
-        } else {
-            drop(free);
-            unsafe { dealloc(p, frame_layout()) };
+    /// Return frames (raw addresses) to the freelist, deallocating what
+    /// does not fit under [`FREELIST_CAP`]. The frames must be unreachable:
+    /// unlinked from their slots, with no guard that could still hold a
+    /// pointer into them.
+    fn release_frames(free: &Mutex<Vec<usize>>, frames: Vec<usize>) {
+        let mut free = free.lock();
+        for raw in frames {
+            if free.len() < FREELIST_CAP {
+                free.push(raw);
+            } else {
+                // SAFETY: every frame comes from `alloc_frame` with
+                // `frame_layout()`, and the caller guarantees it is
+                // unreachable.
+                unsafe { dealloc(raw as *mut u8, frame_layout()) };
+            }
         }
     }
 
@@ -362,6 +378,10 @@ impl RecordLog {
     /// index CAS). Values larger than [`MAX_RECORD_LEN`] minus header
     /// and key must be rejected by the caller; this method panics on
     /// oversized records.
+    ///
+    /// Stalls while the unflushed region is full (see
+    /// [`RecordLog::wait_for_space`]), so callers holding an epoch guard
+    /// use [`RecordLog::try_append`] instead.
     pub fn append(
         &self,
         key: &Key,
@@ -370,14 +390,49 @@ impl RecordLog {
         tombstone: bool,
         prev: u64,
     ) -> u64 {
-        let val_cap = pad8(value.len());
-        let footprint = record_footprint(key.len(), val_cap);
+        self.wait_for_space(Self::append_footprint(key, value));
+        self.append_unbounded(key, value, version, tombstone, prev)
+    }
+
+    /// Like [`RecordLog::append`], but never stalls: returns `None`
+    /// (appending nothing) when the record would overflow the unflushed
+    /// bound. The caller waits with [`RecordLog::wait_for_space`] —
+    /// outside any epoch guard — and retries.
+    pub fn try_append(
+        &self,
+        key: &Key,
+        value: &Value,
+        version: Version,
+        tombstone: bool,
+        prev: u64,
+    ) -> Option<u64> {
+        if !self.has_space(Self::append_footprint(key, value)) {
+            return None;
+        }
+        Some(self.append_unbounded(key, value, version, tombstone, prev))
+    }
+
+    /// Arena footprint of a record for `key`/`value`, in bytes. Panics on
+    /// records larger than a page.
+    pub fn append_footprint(key: &Key, value: &Value) -> u64 {
+        let footprint = record_footprint(key.len(), pad8(value.len()));
         assert!(
             footprint <= MAX_RECORD_LEN,
             "record footprint {footprint} exceeds page size {MAX_RECORD_LEN}"
         );
-        self.backpressure(footprint as u64);
-        let fp = footprint as u64;
+        footprint as u64
+    }
+
+    fn append_unbounded(
+        &self,
+        key: &Key,
+        value: &Value,
+        version: Version,
+        tombstone: bool,
+        prev: u64,
+    ) -> u64 {
+        let val_cap = pad8(value.len());
+        let fp = Self::append_footprint(key, value);
         let start;
         loop {
             let cur = self.tail.load(Ordering::Relaxed);
@@ -426,20 +481,29 @@ impl RecordLog {
         unsafe { (*(p as *const AtomicU64)).store(pack_pad(len), Ordering::Release) };
     }
 
-    fn backpressure(&self, need: u64) {
+    /// Whether `need` more bytes fit under the unflushed bound.
+    fn has_space(&self, need: u64) -> bool {
         let limit = self.unflushed_limit.load(Ordering::Relaxed);
-        if limit == u64::MAX {
-            return;
-        }
-        let unflushed =
-            |log: &Self| log.tail.load(Ordering::Relaxed) - log.flushed.load(Ordering::Relaxed);
-        if unflushed(self) + need <= limit {
+        // `flushed` is loaded second and may already have passed the
+        // `tail` loaded first.
+        let unflushed = self
+            .tail
+            .load(Ordering::Relaxed)
+            .saturating_sub(self.flushed.load(Ordering::Relaxed));
+        limit == u64::MAX || unflushed + need <= limit
+    }
+
+    /// Backpressure: stall on a [`Backoff`] until `need` more bytes fit
+    /// under the unflushed bound, i.e. until the flusher catches up. Must
+    /// not be called while holding an epoch guard.
+    pub fn wait_for_space(&self, need: u64) {
+        if self.has_space(need) {
             return;
         }
         crate::metrics::backpressure_stalls().inc();
         let t0 = std::time::Instant::now();
         let mut backoff = Backoff::new();
-        while unflushed(self) + need > limit {
+        while !self.has_space(need) {
             backoff.snooze();
         }
         crate::metrics::backpressure_stall_us().record_micros(t0.elapsed());
@@ -458,6 +522,11 @@ impl RecordLog {
         match slot.state.load(Ordering::Acquire) {
             P_RESIDENT => {
                 let frame = slot.buf.load(Ordering::Acquire);
+                if frame.is_null() {
+                    // Evicted between the two loads; the frame was
+                    // unlinked before the epoch bump that defers its reuse.
+                    return Parse::OnDisk;
+                }
                 let base = unsafe { frame.add((addr % PAGE_BYTES) as usize) };
                 let meta = unsafe { (*(base as *const AtomicU64)).load(Ordering::Acquire) };
                 if meta == 0 {
@@ -473,6 +542,34 @@ impl RecordLog {
             // Reclaimed under us (head may not have advanced yet).
             _ => Parse::OnDisk,
         }
+    }
+
+    /// Prefetch the first two cache lines of the record at `addr` if it
+    /// is resident (a no-op otherwise). A hint only: it takes no guard,
+    /// because a prefetch of a stale or freed frame never faults.
+    pub fn prefetch_record(&self, addr: u64) {
+        if addr == NONE_ADDRESS || addr < self.head.load(Ordering::Relaxed) {
+            return;
+        }
+        let page = addr / PAGE_BYTES;
+        let chunk_idx = (page / CHUNK_PAGES as u64) as usize;
+        let Some(chunk) = self.dir.get(chunk_idx) else {
+            return;
+        };
+        let chunk = chunk.load(Ordering::Relaxed);
+        if chunk.is_null() {
+            return;
+        }
+        // SAFETY: an installed directory chunk is never freed before the
+        // log is dropped, and the index is reduced modulo its length.
+        let slot = unsafe { &(*chunk)[(page % CHUNK_PAGES as u64) as usize] };
+        let frame = slot.buf.load(Ordering::Relaxed);
+        if frame.is_null() {
+            return;
+        }
+        let base = frame.wrapping_add((addr % PAGE_BYTES) as usize);
+        crate::index::prefetch_line(base);
+        crate::index::prefetch_line(base.wrapping_add(64));
     }
 
     /// Resolve `addr` under `guard`. Returns the typed
@@ -512,9 +609,14 @@ impl RecordLog {
     // Flush / device
     // ------------------------------------------------------------------
 
-    /// Flush `[flushed, min(until, tail))` to the device and advance the
-    /// durable frontier. Values are captured through the record seqlock,
-    /// so concurrent in-place updates are never torn on the device.
+    /// Flush every record that starts in `[flushed, min(until, tail))` to
+    /// the device and advance the durable frontier to the end of the last
+    /// one, which is `until` itself unless a record straddles it. (The
+    /// continuous flusher's read-only target is not record-aligned; a
+    /// record starting below the read-only boundary is immutable, so it
+    /// is flushed whole.) Returns the new frontier. Values are captured
+    /// through the record seqlock, so concurrent in-place updates are
+    /// never torn on the device.
     pub fn flush_until(&self, until: u64) -> Result<u64> {
         let mut st = self.flush_state.lock();
         let start = self.flushed.load(Ordering::Acquire);
@@ -568,7 +670,7 @@ impl RecordLog {
                 }
             }
         }
-        debug_assert_eq!(addr, until);
+        let until = addr;
         let dev = self.device.append(buf)?;
         self.device.flush()?;
         {
@@ -626,10 +728,6 @@ impl RecordLog {
 
     /// Materialize the record at an evicted address from the device.
     pub fn read_from_device(&self, addr: u64) -> Result<Record> {
-        self.read_from_device_with_len(addr).map(|(r, _)| r)
-    }
-
-    fn read_from_device_with_len(&self, addr: u64) -> Result<(Record, usize)> {
         let (dev, _) = self
             .device_span(addr)
             .ok_or_else(|| DprError::Invalid(format!("address {addr} is not on the device")))?;
@@ -656,9 +754,9 @@ impl RecordLog {
             dev + HEADER_LEN as u64,
             &mut buf[HEADER_LEN..],
         )?;
-        let (rec, len) = Record::decode(&buf, addr)
-            .ok_or_else(|| DprError::Storage(format!("corrupt record at device address {addr}")))?;
-        Ok((rec, len))
+        Record::decode(&buf, addr)
+            .map(|(rec, _)| rec)
+            .ok_or_else(|| DprError::Storage(format!("corrupt record at device address {addr}")))
     }
 
     // ------------------------------------------------------------------
@@ -667,7 +765,9 @@ impl RecordLog {
 
     /// Evict whole pages below `new_head` (clamped to the flushed and
     /// read-only frontiers, floored to a page boundary). Returns the new
-    /// head. Must not be called while holding an epoch guard.
+    /// head. Never waits for readers: the evicted frames go back to the
+    /// freelist from a deferred epoch drain action once every guard that
+    /// could still point into them is gone.
     pub fn evict_to(&self, new_head: u64) -> u64 {
         let limit = new_head.min(self.flushed()).min(self.read_only());
         let target = limit - limit % PAGE_BYTES;
@@ -693,23 +793,27 @@ impl RecordLog {
         }
         self.head.fetch_max(target, Ordering::AcqRel);
         if !reclaimed.is_empty() {
-            // One quiesce covers the whole batch: after it, no reader
-            // guard predating the RECLAIMING flips can still be live.
-            self.epoch.quiesce();
+            // Unlink the frames: guards taken after the bump below can no
+            // longer reach them. One drain action covers the whole batch
+            // and fires once no guard predating the bump is still live.
+            let mut frames = Vec::with_capacity(reclaimed.len());
             for page in reclaimed {
                 let slot = self.slot(page);
                 let buf = slot.buf.swap(null_mut(), Ordering::AcqRel);
                 slot.state.store(P_EVICTED, Ordering::Release);
                 if !buf.is_null() {
-                    self.release_frame(buf);
+                    frames.push(buf as usize);
                 }
             }
+            let free = Arc::clone(&self.free_frames);
+            self.epoch
+                .bump_with(move || Self::release_frames(&free, frames));
         }
         self.head.load(Ordering::Acquire)
     }
 
     /// Evict down to the memory budget if the resident region overflows
-    /// it. Must not be called while holding an epoch guard.
+    /// it.
     pub fn maybe_evict(&self) -> u64 {
         let tail = self.tail();
         if tail.saturating_sub(self.head()) > self.memory_budget {
@@ -832,9 +936,11 @@ impl RecordLog {
                 }
                 Parse::NotReady => backoff.snooze(),
                 Parse::OnDisk => {
-                    let (rec, len) = self.read_from_device_with_len(addr)?;
-                    f(rec)?;
-                    addr += len as u64;
+                    // Eviction overtook the scan. Evicted pages were
+                    // flushed whole, so continue on the device (pads
+                    // included) to the new head or at least this page's end.
+                    let page_end = (addr / PAGE_BYTES + 1) * PAGE_BYTES;
+                    addr = self.scan_device(addr, self.head().max(page_end).min(to), f)?;
                     backoff.reset();
                 }
             }
@@ -1034,6 +1140,9 @@ impl RecordLog {
 
 impl Drop for RecordLog {
     fn drop(&mut self) {
+        // No guard can outlive the log, so every deferred frame release is
+        // ready: run them so their frames reach the freelist freed below.
+        self.epoch.try_drain();
         for chunk in self.dir.iter() {
             let ptr = chunk.load(Ordering::Acquire);
             if ptr.is_null() {
@@ -1237,6 +1346,61 @@ mod tests {
     }
 
     #[test]
+    fn eviction_under_a_guard_defers_frame_reuse() {
+        let log = new_log();
+        for i in 0..3000u64 {
+            log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS);
+        }
+        let sealed = log.seal_to_tail();
+        log.flush_until(sealed).unwrap();
+        let guard = log.protect();
+        let view = match log.get(&guard, 0).unwrap() {
+            GetOutcome::Resident(v) => v,
+            _ => panic!("expected resident"),
+        };
+        // The same thread evicts while it holds the guard: eviction never
+        // waits for readers, so this returns at once.
+        let head = log.evict_to(sealed);
+        assert!(head > 0);
+        assert!(matches!(log.get(&guard, 0).unwrap(), GetOutcome::OnDisk));
+        // New pages must not reuse the evicted frames while the guard
+        // lives: the view keeps reading its record.
+        for i in 0..3000u64 {
+            log.append(&key(i), &val(i + 1), Version(2), false, NONE_ADDRESS);
+        }
+        assert_eq!(view.key_bytes(), key(0).as_bytes());
+        assert_eq!(view.read_value(), val(0));
+        assert!(log.free_frames.lock().is_empty(), "frames released early");
+        drop(guard);
+        assert!(
+            !log.free_frames.lock().is_empty(),
+            "dropping the last guard releases the evicted frames"
+        );
+    }
+
+    #[test]
+    fn flush_to_an_unaligned_target_flushes_whole_records() {
+        let log = new_log();
+        let mut addrs = Vec::new();
+        for i in 0..100u64 {
+            addrs.push(log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS));
+        }
+        // A target in the middle of record 10 flushes it whole.
+        let target = addrs[10] + 8;
+        log.advance_read_only(target);
+        assert_eq!(log.flush_until(target).unwrap(), addrs[11]);
+        assert_eq!(log.flushed(), addrs[11]);
+        // The next flush resumes at a record boundary.
+        let sealed = log.seal_to_tail();
+        assert_eq!(log.flush_until(sealed).unwrap(), sealed);
+        for (i, &a) in addrs.iter().enumerate() {
+            let rec = log.read_from_device(a).unwrap();
+            assert_eq!(rec.key(), &key(i as u64));
+            assert_eq!(rec.read_value(), val(i as u64));
+        }
+    }
+
+    #[test]
     fn purge_invalidates_version_range() {
         let log = new_log();
         let mut by_version: Vec<(u64, Version)> = Vec::new();
@@ -1313,6 +1477,30 @@ mod tests {
             assert_eq!(rec.read_value(), val(i));
             assert_eq!(rec.meta().tombstone, i.is_multiple_of(11));
         }
+    }
+
+    #[test]
+    fn scan_overtaken_by_eviction_continues_on_the_device() {
+        let log = new_log();
+        // 48-byte records leave a pad at the end of every page.
+        let n = 3000u64;
+        for i in 0..n {
+            log.append(&key(i), &val(i), Version(1), false, NONE_ADDRESS);
+        }
+        let sealed = log.seal_to_tail();
+        log.flush_until(sealed).unwrap();
+        let mut seen = Vec::new();
+        log.scan_range(0, log.tail(), &mut |rec| {
+            if seen.is_empty() {
+                // Evict the first two pages under the scan's feet.
+                log.evict_to(2 * PAGE_BYTES);
+            }
+            seen.push(rec.key().clone());
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(log.head(), 2 * PAGE_BYTES);
+        assert_eq!(seen, (0..n).map(key).collect::<Vec<_>>());
     }
 
     #[test]

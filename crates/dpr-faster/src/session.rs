@@ -14,6 +14,44 @@ use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// One operation of a batch. Keys and values are borrowed from the
+/// caller for the duration of the batch.
+#[derive(Clone, Copy)]
+pub enum BatchOp<'a> {
+    /// Read the key.
+    Read(&'a Key),
+    /// Blind upsert of key = value.
+    Upsert(&'a Key, &'a Value),
+    /// Read-modify-write with the given update.
+    Rmw(&'a Key, &'a RmwFn),
+    /// Delete the key (writes a tombstone).
+    Delete(&'a Key),
+}
+
+impl BatchOp<'_> {
+    /// The key this operation touches.
+    #[must_use]
+    pub fn key(&self) -> &Key {
+        match *self {
+            BatchOp::Read(k) | BatchOp::Upsert(k, _) | BatchOp::Rmw(k, _) | BatchOp::Delete(k) => k,
+        }
+    }
+}
+
+/// A batch element that views itself as a [`BatchOp`], so callers holding
+/// their own operation type (e.g. decoded wire ops) run a batch without
+/// first copying it into a buffer of `BatchOp`s.
+pub trait AsBatchOp {
+    /// This element as a borrowed store operation.
+    fn as_batch_op(&self) -> BatchOp<'_>;
+}
+
+impl AsBatchOp for BatchOp<'_> {
+    fn as_batch_op(&self) -> BatchOp<'_> {
+        *self
+    }
+}
+
 /// A handle to a pending (unresolved) operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PendingToken {
@@ -77,8 +115,9 @@ pub struct CompletedOp {
     pub lost: bool,
 }
 
-/// The user-defined modification applied by a pending RMW.
-pub type RmwFn = Box<dyn Fn(Option<&Value>) -> Value + Send>;
+/// The user-defined modification an RMW applies. Shared so a PENDING RMW
+/// can keep it beyond the batch that borrowed it.
+pub type RmwFn = Arc<dyn Fn(Option<&Value>) -> Value + Send + Sync>;
 
 pub(crate) enum PendingKind {
     Read,
@@ -88,9 +127,9 @@ pub(crate) enum PendingKind {
 pub(crate) struct PendingOp {
     pub key: Key,
     pub kind: PendingKind,
-    /// Chain address at which the walk left memory (diagnostics; the
-    /// completion path re-walks from the index head).
-    #[allow(dead_code)]
+    /// Chain address at which the walk left memory. A pending read
+    /// resumes its walk here; a pending RMW re-walks from the index head,
+    /// since it must apply to the newest value.
     pub addr: u64,
 }
 
@@ -148,29 +187,53 @@ impl Session {
         self.shared.core.lock().next_serial
     }
 
+    /// Execute `ops` in serial order as one batch, passing each op's
+    /// outcome to `emit(index, outcome)`. The batch takes the session lock
+    /// once, holds one epoch guard, and executes every op in one version,
+    /// which it returns. Before executing, it prefetches each key's index
+    /// bucket and then each resident chain head, so the ops' cache misses
+    /// overlap. Resident ops complete inline; an op whose chain leads
+    /// below the in-memory region goes PENDING (relaxed CPR). An error
+    /// stops the batch after the ops already emitted.
+    pub fn execute_batch<T: AsBatchOp>(
+        &self,
+        ops: &[T],
+        emit: impl FnMut(usize, OpOutcome),
+    ) -> dpr_core::Result<Version> {
+        self.store.execute_batch(&self.shared, ops, emit)
+    }
+
+    /// Run `op` as a batch of one.
+    fn execute_one(&self, op: BatchOp<'_>) -> dpr_core::Result<OpOutcome> {
+        let mut out = None;
+        self.execute_batch(&[op], |_, outcome| out = Some(outcome))?;
+        Ok(out.expect("a batch of one emits one outcome"))
+    }
+
     /// Read `key`. Completes immediately for resident keys; goes PENDING if
     /// the chain leads below the in-memory region.
     pub fn read(&self, key: &Key) -> dpr_core::Result<OpOutcome> {
-        self.store.op_read(&self.shared, key)
+        self.execute_one(BatchOp::Read(key))
     }
 
     /// Blind upsert of `key = value`.
     pub fn upsert(&self, key: Key, value: Value) -> dpr_core::Result<OpOutcome> {
-        self.store.op_upsert(&self.shared, key, value)
+        self.execute_one(BatchOp::Upsert(&key, &value))
     }
 
     /// Read-modify-write: applies `f` to the current value (or `None`).
     pub fn rmw(
         &self,
         key: Key,
-        f: impl Fn(Option<&Value>) -> Value + Send + 'static,
+        f: impl Fn(Option<&Value>) -> Value + Send + Sync + 'static,
     ) -> dpr_core::Result<OpOutcome> {
-        self.store.op_rmw(&self.shared, key, Box::new(f))
+        let f: RmwFn = Arc::new(f);
+        self.execute_one(BatchOp::Rmw(&key, &f))
     }
 
     /// Delete `key` (writes a tombstone).
     pub fn delete(&self, key: Key) -> dpr_core::Result<OpOutcome> {
-        self.store.op_delete(&self.shared, key)
+        self.execute_one(BatchOp::Delete(&key))
     }
 
     /// Resolve all outstanding PENDING operations, returning their results

@@ -17,8 +17,8 @@ use crate::index::HashIndex;
 use crate::log::{GetOutcome, RecordLog, MAX_RECORD_LEN, PAGE_SIZE};
 use crate::record::{pad8, record_footprint, RecordMeta, RecordView, NONE_ADDRESS};
 use crate::session::{
-    CompletedOp, OpOutcome, PendingKind, PendingOp, PendingToken, RmwFn, Session, SessionCore,
-    SessionShared,
+    AsBatchOp, BatchOp, CompletedOp, OpOutcome, PendingKind, PendingOp, PendingToken, RmwFn,
+    Session, SessionCore, SessionShared,
 };
 use crate::state::{GlobalState, Phase, SystemState};
 use dpr_core::epoch::EpochGuard;
@@ -214,9 +214,18 @@ pub struct FasterKv {
     shutdown: AtomicBool,
 }
 
-enum Find {
-    Found { value: Option<Value> },
-    OnDisk { addr: u64 },
+/// Operations per prefetch window of a batch: the bucket and record
+/// passes run over at most this many ops before they execute, so a
+/// window's lines are still cached when its ops reach them.
+const PREFETCH_WINDOW: usize = 16;
+
+/// Outcome of appending a record and publishing it at its chain head.
+enum Publish {
+    Done,
+    /// An RCU lost the head CAS; its orphan was invalidated.
+    Moved,
+    /// The unflushed region has no room for this many bytes.
+    Full(u64),
 }
 
 impl FasterKv {
@@ -538,15 +547,16 @@ impl FasterKv {
             || (addr < self.recovery_boundary && m.version > self.recovered_version)
     }
 
-    /// Walk the in-memory chain for `key` under `guard`: the newest live
-    /// resident record as a borrowed view (`Ok(Some)`), a miss (`Ok(None)`),
-    /// or the address where the chain left memory (`Err(addr)`).
-    fn find_resident_view<'g>(
+    /// Walk the in-memory chain from `addr` for `key` under `guard`: the
+    /// newest live resident record as a borrowed view (`Ok(Some)`), a miss
+    /// (`Ok(None)`), or the address where the chain left memory
+    /// (`Err(addr)`).
+    fn walk<'g>(
         &'g self,
         guard: &'g EpochGuard<'_>,
+        mut addr: u64,
         key: &Key,
     ) -> Result<std::result::Result<Option<RecordView<'g>>, u64>> {
-        let mut addr = self.index.head(key);
         let mut hops = 0u64;
         let out = loop {
             if addr == NONE_ADDRESS {
@@ -574,25 +584,24 @@ impl FasterKv {
         Ok(out)
     }
 
-    /// Walk the in-memory chain for `key` and resolve it to a value (or a
-    /// disk handoff address). Tombstones read as `None`.
-    fn find_resident(&self, key: &Key) -> Result<Find> {
-        let guard = self.log.protect();
-        Ok(match self.find_resident_view(&guard, key)? {
-            Ok(None) => Find::Found { value: None },
-            Ok(Some(view)) => Find::Found {
-                value: if view.meta().tombstone {
-                    None
-                } else {
-                    Some(view.read_value())
-                },
-            },
-            Err(addr) => Find::OnDisk { addr },
-        })
+    /// Read `key` (hashed to `hash`) from resident state: its value
+    /// (tombstones and misses read as `None`), or `Err(addr)` where the
+    /// chain left memory.
+    fn read_resident(
+        &self,
+        guard: &EpochGuard<'_>,
+        hash: u64,
+        key: &Key,
+    ) -> Result<std::result::Result<Option<Value>, u64>> {
+        Ok(self
+            .walk(guard, self.index.head_hashed(hash), key)?
+            .map(|found| {
+                found.and_then(|view| (!view.meta().tombstone).then(|| view.read_value()))
+            }))
     }
 
     /// Continue a chain walk below the in-memory region by reading records
-    /// from the device.
+    /// from the device. Takes no guard of the caller's: it may block.
     fn find_from_disk(&self, key: &Key, mut addr: u64) -> Result<Option<Value>> {
         loop {
             if addr == NONE_ADDRESS {
@@ -648,37 +657,52 @@ impl FasterKv {
         Ok(())
     }
 
-    /// Append a record and publish it at the head of `key`'s chain,
-    /// retrying the CAS as needed. The caller has validated the record
-    /// size. Returns the published address.
-    fn append_and_publish(
+    /// Append a record with `prev = expected` and publish it at the head
+    /// of its chain (`hash`). A `blind` write (upsert, delete) re-links
+    /// and retries when the head moved; an RCU write invalidates its
+    /// orphan and reports [`Publish::Moved`], because its value was
+    /// computed from a record that may no longer be the newest. Never
+    /// stalls: a full unflushed region is reported as [`Publish::Full`].
+    #[allow(clippy::too_many_arguments)]
+    fn publish(
         &self,
+        guard: &EpochGuard<'_>,
+        hash: u64,
         key: &Key,
         value: &Value,
         version: Version,
         tombstone: bool,
-    ) -> u64 {
-        let guard = self.log.protect();
-        let mut expected = self.index.head(key);
+        mut expected: u64,
+        blind: bool,
+    ) -> Publish {
         'fresh: loop {
-            let addr = self.log.append(key, value, version, tombstone, expected);
+            let Some(addr) = self
+                .log
+                .try_append(key, value, version, tombstone, expected)
+            else {
+                return Publish::Full(RecordLog::append_footprint(key, value));
+            };
             loop {
-                match self.index.try_publish(key, expected, addr) {
-                    Ok(()) => return addr,
-                    Err(observed) => {
+                let Err(observed) = self.index.try_publish_hashed(hash, expected, addr) else {
+                    return Publish::Done;
+                };
+                match self.log.get(guard, addr) {
+                    Ok(GetOutcome::Resident(view)) if blind => {
+                        view.set_prev(observed);
                         expected = observed;
-                        match self.log.get(&guard, addr) {
-                            Ok(GetOutcome::Resident(view)) => view.set_prev(observed),
-                            _ => {
-                                // The unpublished record was flushed and
-                                // evicted inside the publish window (only
-                                // possible under extreme memory pressure).
-                                // Its device copy is unreachable garbage;
-                                // append a fresh one with the right prev.
-                                continue 'fresh;
-                            }
-                        }
                     }
+                    Ok(GetOutcome::Resident(view)) => {
+                        view.invalidate();
+                        return Publish::Moved;
+                    }
+                    // The unpublished record was flushed and evicted inside
+                    // the publish window (only possible under extreme memory
+                    // pressure). Its device copy is unreachable garbage.
+                    _ if blind => {
+                        expected = observed;
+                        continue 'fresh;
+                    }
+                    _ => return Publish::Moved,
                 }
             }
         }
@@ -697,194 +721,206 @@ impl FasterKv {
         view.address() >= self.log.read_only() && m.version == version && !m.tombstone && !m.invalid
     }
 
-    pub(crate) fn op_read(&self, shared: &Arc<SessionShared>, key: &Key) -> Result<OpOutcome> {
-        let mut core = shared.core.lock();
-        self.refresh_locked(shared.id, &mut core);
-        let version = core.observed.version;
-        let serial = core.next_serial;
-        core.next_serial += 1;
-        match self.find_resident(key)? {
-            Find::Found { value } => Ok(OpOutcome::Read {
-                value,
-                version,
-                serial,
-            }),
-            Find::OnDisk { addr } => {
-                if self.config.strict_cpr {
-                    // Strict CPR (§5.4): resolve the I/O inline so the
-                    // serial order is exactly the completion order — paying
-                    // a full I/O round trip per operation.
-                    self.charge_read();
-                    let value = self.find_from_disk(key, addr)?;
-                    return Ok(OpOutcome::Read {
-                        value,
-                        version,
-                        serial,
-                    });
-                }
-                core.outstanding.insert(
-                    serial,
-                    PendingOp {
-                        key: key.clone(),
-                        kind: PendingKind::Read,
-                        addr,
-                    },
-                );
-                crate::metrics::pending_ops().add(1);
-                Ok(OpOutcome::Pending(PendingToken { serial }))
-            }
-        }
-    }
-
-    pub(crate) fn op_upsert(
+    /// Blind write (upsert, or a delete's tombstone) under `guard`: in
+    /// place when the newest resident record allows it, else an append
+    /// linked to the chain head read for the in-place attempt.
+    fn write_step(
         &self,
-        shared: &Arc<SessionShared>,
-        key: Key,
-        value: Value,
-    ) -> Result<OpOutcome> {
-        Self::check_record_size(&key, &value)?;
-        let mut core = shared.core.lock();
-        self.refresh_locked(shared.id, &mut core);
-        let version = core.observed.version;
-        let serial = core.next_serial;
-        core.next_serial += 1;
-        // Try in-place against the newest resident record for this key;
-        // otherwise append (blind upserts never need the disk).
-        {
-            let guard = self.log.protect();
-            if let Ok(Some(view)) = self.find_resident_view(&guard, &key)? {
-                let m = view.meta();
-                if self.in_place_ok(&view, &m, version) && view.try_write_value(&value) {
-                    return Ok(OpOutcome::Mutated { version, serial });
-                }
-                // Capacity exceeded or CPR forbids in-place: fall through
-                // to an append.
-            }
-        }
-        self.append_and_publish(&key, &value, version, false);
-        Ok(OpOutcome::Mutated { version, serial })
-    }
-
-    pub(crate) fn op_delete(&self, shared: &Arc<SessionShared>, key: Key) -> Result<OpOutcome> {
-        let mut core = shared.core.lock();
-        self.refresh_locked(shared.id, &mut core);
-        let version = core.observed.version;
-        let serial = core.next_serial;
-        core.next_serial += 1;
-        self.append_and_publish(&key, &Value(bytes::Bytes::new()), version, true);
-        Ok(OpOutcome::Mutated { version, serial })
-    }
-
-    pub(crate) fn op_rmw(
-        &self,
-        shared: &Arc<SessionShared>,
-        key: Key,
-        f: RmwFn,
-    ) -> Result<OpOutcome> {
-        let mut core = shared.core.lock();
-        self.refresh_locked(shared.id, &mut core);
-        let version = core.observed.version;
-        let serial = core.next_serial;
-        core.next_serial += 1;
-        match self.rmw_attempt(&key, &f, version)? {
-            Some(()) => Ok(OpOutcome::Mutated { version, serial }),
-            None => {
-                if self.config.strict_cpr {
-                    self.charge_read();
-                    self.resolve_rmw_from_disk(&key, &f, version)?;
-                    return Ok(OpOutcome::Mutated { version, serial });
-                }
-                core.outstanding.insert(
-                    serial,
-                    PendingOp {
-                        key,
-                        kind: PendingKind::Rmw(f),
-                        addr: 0,
-                    },
-                );
-                crate::metrics::pending_ops().add(1);
-                Ok(OpOutcome::Pending(PendingToken { serial }))
-            }
-        }
-    }
-
-    /// Resolve an RMW whose chain leads to the device, synchronously.
-    fn resolve_rmw_from_disk(&self, key: &Key, f: &RmwFn, version: Version) -> Result<()> {
+        guard: &mut EpochGuard<'_>,
+        hash: u64,
+        key: &Key,
+        value: &Value,
+        version: Version,
+        tombstone: bool,
+    ) -> Result<()> {
         loop {
-            match self.rmw_attempt(key, f, version)? {
-                Some(()) => return Ok(()),
-                None => {
-                    let addr = match self.find_resident(key)? {
-                        Find::OnDisk { addr } => addr,
-                        Find::Found { .. } => continue,
-                    };
-                    let old = self.find_from_disk(key, addr)?;
-                    let new = f(old.as_ref());
-                    if self.rcu_publish(key, new, version)? {
+            let head = self.index.head_hashed(hash);
+            if !tombstone {
+                if let Ok(Some(view)) = self.walk(guard, head, key)? {
+                    let m = view.meta();
+                    if self.in_place_ok(&view, &m, version) && view.try_write_value(value) {
                         return Ok(());
                     }
+                    // Capacity exceeded or CPR forbids in-place: append.
                 }
+            }
+            match self.publish(guard, hash, key, value, version, tombstone, head, true) {
+                Publish::Done => return Ok(()),
+                Publish::Moved => unreachable!("blind writes re-link instead"),
+                Publish::Full(need) => guard.suspend_while(|| self.log.wait_for_space(need)),
             }
         }
     }
 
-    /// One RMW attempt against resident state; `None` means the chain went
-    /// to disk and the op must go PENDING.
-    fn rmw_attempt(&self, key: &Key, f: &RmwFn, version: Version) -> Result<Option<()>> {
+    /// Read-modify-write under `guard`: in place when CPR allows it, else
+    /// read-copy-update against the chain head the walk started from.
+    /// When the chain leaves memory first, returns `Err(addr)` — or, with
+    /// `from_disk`, reads the old value from the device with the guard
+    /// suspended and publishes the update.
+    fn rmw_step(
+        &self,
+        guard: &mut EpochGuard<'_>,
+        hash: u64,
+        key: &Key,
+        f: &RmwFn,
+        version: Version,
+        from_disk: bool,
+    ) -> Result<std::result::Result<(), u64>> {
         loop {
-            let guard = self.log.protect();
-            match self.find_resident_view(&guard, key)? {
+            let head = self.index.head_hashed(hash);
+            let new = match self.walk(guard, head, key)? {
                 Ok(Some(view)) => {
                     let m = view.meta();
                     if self.in_place_ok(&view, &m, version) && view.try_modify_value(|v| f(Some(v)))
                     {
-                        return Ok(Some(()));
+                        return Ok(Ok(()));
                     }
                     // CPR forbids in-place (or the result outgrew the
                     // record's capacity): read-copy-update.
-                    let old = if m.tombstone {
-                        None
-                    } else {
-                        Some(view.read_value())
-                    };
-                    let new = f(old.as_ref());
-                    drop(guard);
-                    if self.rcu_publish(key, new, version)? {
-                        return Ok(Some(()));
-                    }
-                    // Chain head changed under us; retry from the top.
+                    let old = (!m.tombstone).then(|| view.read_value());
+                    f(old.as_ref())
                 }
-                Ok(None) => {
-                    let new = f(None);
-                    drop(guard);
-                    if self.rcu_publish(key, new, version)? {
-                        return Ok(Some(()));
-                    }
+                Ok(None) => f(None),
+                Err(addr) if from_disk => {
+                    let old = guard.suspend_while(|| self.find_from_disk(key, addr))?;
+                    f(old.as_ref())
                 }
-                Err(_disk_addr) => return Ok(None),
+                Err(addr) => return Ok(Err(addr)),
+            };
+            Self::check_record_size(key, &new)?;
+            match self.publish(guard, hash, key, &new, version, false, head, false) {
+                Publish::Done => return Ok(Ok(())),
+                // Chain head changed under us; retry from the top.
+                Publish::Moved => {}
+                Publish::Full(need) => guard.suspend_while(|| self.log.wait_for_space(need)),
             }
         }
     }
 
-    /// Publish an RCU record if the chain head is unchanged; on failure the
-    /// orphaned record is invalidated in place and the caller retries.
-    fn rcu_publish(&self, key: &Key, value: Value, version: Version) -> Result<bool> {
-        Self::check_record_size(key, &value)?;
-        let guard = self.log.protect();
-        let expected = self.index.head(key);
-        let addr = self.log.append(key, &value, version, false, expected);
-        match self.index.try_publish(key, expected, addr) {
-            Ok(()) => Ok(true),
-            Err(_) => {
-                if let Ok(GetOutcome::Resident(view)) = self.log.get(&guard, addr) {
-                    view.invalidate();
+    /// Park an op whose chain left memory at `addr` until
+    /// `complete_pending` (relaxed CPR, §5.4).
+    fn defer(
+        core: &mut SessionCore,
+        serial: u64,
+        key: &Key,
+        kind: PendingKind,
+        addr: u64,
+    ) -> OpOutcome {
+        core.outstanding.insert(
+            serial,
+            PendingOp {
+                key: key.clone(),
+                kind,
+                addr,
+            },
+        );
+        crate::metrics::pending_ops().add(1);
+        OpOutcome::Pending(PendingToken { serial })
+    }
+
+    /// The batch execution kernel: every session operation runs through
+    /// here, a single op being a batch of one.
+    ///
+    /// The batch takes the session lock once and refreshes the observed
+    /// state once, so every op executes in the same version, and it holds
+    /// one epoch guard throughout. Each window of up to
+    /// [`PREFETCH_WINDOW`] ops first makes two prefetch passes — every
+    /// key's index bucket, then the first two cache lines of every
+    /// resident chain head — so the windows' cache misses overlap instead
+    /// of being paid one op at a time. The ops then execute in serial
+    /// order, so results are those of running them one by one.
+    ///
+    /// Nothing waits while the guard is held: a full unflushed region and
+    /// strict CPR's device reads suspend the guard first
+    /// ([`EpochGuard::suspend_while`]). `emit(i, outcome)` receives each
+    /// op's outcome in order; an error stops the batch after the ops
+    /// already emitted.
+    pub(crate) fn execute_batch<T: AsBatchOp>(
+        &self,
+        shared: &SessionShared,
+        ops: &[T],
+        mut emit: impl FnMut(usize, OpOutcome),
+    ) -> Result<Version> {
+        let mut core = shared.core.lock();
+        self.refresh_locked(shared.id, &mut core);
+        let version = core.observed.version;
+        let mut guard = self.log.protect();
+        let mut hashes = [0u64; PREFETCH_WINDOW];
+        for (w, window) in ops.chunks(PREFETCH_WINDOW).enumerate() {
+            let hashes = &mut hashes[..window.len()];
+            for (h, op) in hashes.iter_mut().zip(window) {
+                *h = op.as_batch_op().key().hash64();
+            }
+            if window.len() > 1 {
+                for &h in hashes.iter() {
+                    self.index.prefetch(h);
                 }
-                // If the orphan was already flushed and evicted (extreme
-                // memory pressure), its device copy is unreachable: nothing
-                // published points at it.
-                Ok(false)
+                for &h in hashes.iter() {
+                    self.log.prefetch_record(self.index.head_hashed(h));
+                }
+            }
+            for (j, (op, &hash)) in window.iter().zip(hashes.iter()).enumerate() {
+                let op = op.as_batch_op();
+                if let BatchOp::Upsert(key, value) = op {
+                    Self::check_record_size(key, value)?;
+                }
+                let serial = core.next_serial;
+                core.next_serial += 1;
+                let outcome = match op {
+                    BatchOp::Read(key) => match self.read_resident(&guard, hash, key)? {
+                        Ok(value) => OpOutcome::Read {
+                            value,
+                            version,
+                            serial,
+                        },
+                        Err(addr) if self.config.strict_cpr => {
+                            // Strict CPR (§5.4): resolve the I/O inline so
+                            // the serial order is exactly the completion
+                            // order — paying a full I/O round trip per op.
+                            let value = guard.suspend_while(|| {
+                                self.charge_read();
+                                self.find_from_disk(key, addr)
+                            })?;
+                            OpOutcome::Read {
+                                value,
+                                version,
+                                serial,
+                            }
+                        }
+                        Err(addr) => Self::defer(&mut core, serial, key, PendingKind::Read, addr),
+                    },
+                    BatchOp::Upsert(key, value) => {
+                        self.write_step(&mut guard, hash, key, value, version, false)?;
+                        OpOutcome::Mutated { version, serial }
+                    }
+                    BatchOp::Delete(key) => {
+                        let empty = Value(bytes::Bytes::new());
+                        self.write_step(&mut guard, hash, key, &empty, version, true)?;
+                        OpOutcome::Mutated { version, serial }
+                    }
+                    BatchOp::Rmw(key, f) => {
+                        match self.rmw_step(&mut guard, hash, key, f, version, false)? {
+                            Ok(()) => {}
+                            Err(_) if self.config.strict_cpr => {
+                                guard.suspend_while(|| self.charge_read());
+                                let _ = self.rmw_step(&mut guard, hash, key, f, version, true)?;
+                            }
+                            Err(addr) => {
+                                let kind = PendingKind::Rmw(Arc::clone(f));
+                                emit(
+                                    w * PREFETCH_WINDOW + j,
+                                    Self::defer(&mut core, serial, key, kind, addr),
+                                );
+                                continue;
+                            }
+                        }
+                        OpOutcome::Mutated { version, serial }
+                    }
+                };
+                emit(w * PREFETCH_WINDOW + j, outcome);
             }
         }
+        Ok(version)
     }
 
     pub(crate) fn op_complete_pending(
@@ -912,31 +948,25 @@ impl FasterKv {
             self.charge_read();
         }
         for (serial, op) in pending {
-            match op.kind {
-                PendingKind::Read => {
-                    // Re-check memory first (the key may have been written
-                    // since), then chase the chain through the device.
-                    let value = match self.find_resident(&op.key)? {
-                        Find::Found { value } => value,
-                        Find::OnDisk { addr } => self.find_from_disk(&op.key, addr)?,
-                    };
-                    out.push(CompletedOp {
-                        serial,
-                        value,
-                        version,
-                        lost: false,
-                    });
-                }
+            let value = match op.kind {
+                // Resume the walk where it left memory when the read was
+                // issued, as FASTER's I/O callback does: records published
+                // since — including later ops of the same session — are
+                // newer than the read and must not be observed.
+                PendingKind::Read => self.find_from_disk(&op.key, op.addr)?,
                 PendingKind::Rmw(f) => {
-                    self.resolve_rmw_from_disk(&op.key, &f, version)?;
-                    out.push(CompletedOp {
-                        serial,
-                        value: None,
-                        version,
-                        lost: false,
-                    });
+                    let mut guard = self.log.protect();
+                    let _ =
+                        self.rmw_step(&mut guard, op.key.hash64(), &op.key, &f, version, true)?;
+                    None
                 }
-            }
+            };
+            out.push(CompletedOp {
+                serial,
+                value,
+                version,
+                lost: false,
+            });
         }
         out.sort_by_key(|c| c.serial);
         Ok(out)
@@ -1295,9 +1325,12 @@ impl FasterKv {
     /// Direct read for tests/examples outside any session: walks memory and
     /// device, honoring tombstones and purges.
     pub fn get(self: &Arc<Self>, key: &Key) -> Result<Option<Value>> {
-        match self.find_resident(key)? {
-            Find::Found { value } => Ok(value),
-            Find::OnDisk { addr } => self.find_from_disk(key, addr),
+        let guard = self.log.protect();
+        let found = self.read_resident(&guard, key.hash64(), key)?;
+        drop(guard);
+        match found {
+            Ok(value) => Ok(value),
+            Err(addr) => self.find_from_disk(key, addr),
         }
     }
 

@@ -11,9 +11,11 @@
 //! 2. **Writes**: an in-place upsert (same version, mutable region) is
 //!    also allocation-free, and append-path upserts amortize to far less
 //!    than one allocation per record (pages are the only allocation unit).
+//! 3. **Batches**: a multi-op batch of resident reads and in-place
+//!    upsert (the prefetching batch kernel's full path) allocates nothing.
 
 use dpr_core::{Key, SessionId, Value};
-use dpr_faster::{FasterConfig, FasterKv};
+use dpr_faster::{BatchOp, FasterConfig, FasterKv, OpOutcome};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -135,4 +137,49 @@ fn append_upserts_amortize_below_one_allocation_per_record() {
         spent < N / 8,
         "{spent} allocations across {N} append-path upserts (expected page-granular only)"
     );
+}
+
+#[test]
+fn batch_of_resident_reads_and_in_place_upserts_allocates_nothing() {
+    let kv = store();
+    let s = kv.start_session(SessionId(1));
+    let keys: Vec<Key> = (0..N).map(Key::from_u64).collect();
+    let values: Vec<Value> = (0..N).map(|i| Value::from_u64(i + 100)).collect();
+    for (k, v) in keys.iter().zip(&values) {
+        s.upsert(k.clone(), v.clone()).unwrap();
+    }
+    let batch = |base: usize| -> [BatchOp<'_>; 8] {
+        std::array::from_fn(|j| {
+            let i = base + j;
+            if j % 2 == 0 {
+                BatchOp::Read(&keys[i])
+            } else {
+                BatchOp::Upsert(&keys[i], &values[i])
+            }
+        })
+    };
+    // Warm-up pass (same version, so the timed pass's upserts land in
+    // place).
+    for base in (0..N as usize).step_by(8) {
+        s.execute_batch(&batch(base), |_, _| {}).unwrap();
+    }
+    let before = my_allocs();
+    let mut reads = 0u64;
+    for base in (0..N as usize).step_by(8) {
+        s.execute_batch(&batch(base), |i, outcome| match outcome {
+            OpOutcome::Read { value, .. } => {
+                assert_eq!(
+                    value.and_then(|v| v.as_u64()),
+                    Some((base + i) as u64 + 100)
+                );
+                reads += 1;
+            }
+            OpOutcome::Mutated { .. } => {}
+            OpOutcome::Pending(_) => panic!("resident op went pending"),
+        })
+        .unwrap();
+    }
+    let spent = my_allocs() - before;
+    assert_eq!(reads, N / 2);
+    assert_eq!(spent, 0, "{spent} allocations across {N} batched ops");
 }

@@ -1,12 +1,14 @@
 //! Concurrency correctness under checkpoints: RMW atomicity, read
 //! linearization against a monotone counter, and commit-point consistency
-//! across racing sessions.
+//! across racing sessions; and progress of writers when eviction and
+//! append backpressure both bind.
 
 use dpr_core::{Key, SessionId, Value, Version};
 use dpr_faster::{FasterConfig, FasterKv, OpOutcome};
-use dpr_storage::{MemBlobStore, MemLogDevice};
-use std::sync::Arc;
-use std::time::Duration;
+use dpr_storage::{MemBlobStore, MemLogDevice, StorageProfile};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 fn store() -> Arc<FasterKv> {
     FasterKv::new(
@@ -184,4 +186,78 @@ fn racing_sessions_get_consistent_commit_points() {
         }
     }
     assert_eq!(kv.durable_version(), Version(manifest.version.0));
+}
+
+/// Writers stalled on a full unflushed region and the maintenance thread
+/// evicting a tiny memory budget must never wait on each other. (Once,
+/// appenders held an epoch guard across the backpressure stall while
+/// eviction waited for every guard to drain before it would let the
+/// flusher run again; this setup hung after a few hundred upserts.) The
+/// check is progress only: every writer finishes its time slice within a
+/// generous deadline, and the log wraps the memory budget many times.
+#[test]
+fn eviction_and_backpressure_never_wait_on_each_other() {
+    const WRITERS: u64 = 4;
+    let kv = FasterKv::new(
+        FasterConfig {
+            index_buckets: 1 << 12,
+            memory_budget_records: 8192,
+            auto_maintenance: true,
+            unflushed_limit_records: Some(4096),
+            ..FasterConfig::default()
+        },
+        Arc::new(MemLogDevice::with_profile(StorageProfile::LocalSsd)),
+        Arc::new(MemBlobStore::new()),
+    );
+    let run_for = Duration::from_secs(4);
+    let upserts = Arc::new(AtomicU64::new(0));
+    let (done_tx, done_rx) = mpsc::channel();
+    let mut writers = Vec::new();
+    for w in 0..WRITERS {
+        let kv = Arc::clone(&kv);
+        let upserts = Arc::clone(&upserts);
+        let done_tx = done_tx.clone();
+        writers.push(std::thread::spawn(move || {
+            let s = kv.start_session(SessionId(w + 1));
+            let start = Instant::now();
+            let mut i = 0u64;
+            while start.elapsed() < run_for {
+                let mut value = vec![w as u8; 2048];
+                value[..8].copy_from_slice(&i.to_le_bytes());
+                s.upsert(Key::from_u64((w << 32) | (i % 4096)), Value(value.into()))
+                    .unwrap();
+                upserts.fetch_add(1, Ordering::Relaxed);
+                i += 1;
+            }
+            done_tx.send((w, i)).unwrap();
+        }));
+    }
+    let deadline = Instant::now() + run_for + Duration::from_secs(60);
+    let mut last = Vec::new();
+    for _ in 0..WRITERS {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let Ok(done) = done_rx.recv_timeout(left) else {
+            panic!(
+                "writers stopped making progress after {} upserts",
+                upserts.load(Ordering::Relaxed)
+            );
+        };
+        last.push(done);
+    }
+    for writer in writers {
+        writer.join().unwrap();
+    }
+    // The budget is 8192 records x 64 bytes = 512 KiB; each upsert
+    // appends ~2 KiB, so 4096 upserts cycle it ~16 times.
+    let total = upserts.load(Ordering::Relaxed);
+    assert!(total >= 4096, "only {total} upserts completed");
+    // Each writer's last value is readable (from memory or the device).
+    for (w, n) in last {
+        let i = n - 1;
+        let value = kv
+            .get(&Key::from_u64((w << 32) | (i % 4096)))
+            .unwrap()
+            .unwrap();
+        assert_eq!(value.as_bytes()[..8], i.to_le_bytes());
+    }
 }

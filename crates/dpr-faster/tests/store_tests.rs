@@ -2,7 +2,7 @@
 //! crash recovery, pending operations.
 
 use dpr_core::{Key, SessionId, Value, Version};
-use dpr_faster::{FasterConfig, FasterKv, OpOutcome, Phase};
+use dpr_faster::{BatchOp, FasterConfig, FasterKv, OpOutcome, Phase};
 use dpr_storage::{MemBlobStore, MemLogDevice};
 use std::sync::Arc;
 use std::time::Duration;
@@ -291,6 +291,52 @@ fn pending_read_resolves_from_device_after_eviction() {
     for c in &done {
         assert!(!c.lost);
         assert!(c.value.is_some());
+    }
+}
+
+#[test]
+fn pending_read_returns_the_value_before_a_later_upsert_in_its_batch() {
+    let config = FasterConfig {
+        index_buckets: 1 << 10,
+        memory_budget_records: 0,
+        auto_maintenance: false,
+        ..FasterConfig::default()
+    };
+    let kv = FasterKv::new(
+        config,
+        Arc::new(MemLogDevice::null()),
+        Arc::new(MemBlobStore::new()),
+    );
+    let s = kv.start_session(SessionId(1));
+    for i in 0..40_000u64 {
+        s.upsert(Key::from_u64(i), Value::from_u64(i)).unwrap();
+    }
+    kv.request_checkpoint(None);
+    assert!(kv.wait_for_durable(Version(1), Duration::from_secs(30)));
+    kv.force_evict();
+    // One batch: the read goes PENDING on the device, then the same batch
+    // overwrites the key. Completion must return the value the read saw
+    // at its place in the serial order, not the later upsert's.
+    let key = Key::from_u64(7);
+    let newer = Value::from_u64(7_000_007);
+    let mut outcomes = Vec::new();
+    s.execute_batch(
+        &[BatchOp::Read(&key), BatchOp::Upsert(&key, &newer)],
+        |_, outcome| outcomes.push(outcome),
+    )
+    .unwrap();
+    let OpOutcome::Pending(token) = outcomes[0] else {
+        panic!("the evicted key must go pending: {:?}", outcomes[0]);
+    };
+    assert!(matches!(outcomes[1], OpOutcome::Mutated { .. }));
+    let done = s.complete_pending().unwrap();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].serial, token.serial);
+    assert_eq!(done[0].value.as_ref().and_then(Value::as_u64), Some(7));
+    // The upsert itself took effect.
+    match s.read(&key).unwrap() {
+        OpOutcome::Read { value, .. } => assert_eq!(value, Some(newer)),
+        other => panic!("unexpected {other:?}"),
     }
 }
 

@@ -65,6 +65,15 @@ echo "==> chaos smoke (1 round, seed 42, 2s)"
 cargo run --release -q -p dpr-bench --bin chaos -- \
     --seed 42 --rounds 1 --secs 2 --out target/BENCH_chaos.smoke.json
 
+# Store correctness with device-resident reads: a short ycsb_b_ltm run of
+# the end-to-end benchmark (e2ebench/). Its output checks — model read
+# values, exactly-once execution, every completed batch commits — exit
+# nonzero on any violation, which fails the gate.
+echo
+echo "==> ycsb_b_ltm correctness run (seed 1, 4 s)"
+cargo run --offline --release -q --manifest-path e2ebench/Cargo.toml -- \
+    --workload ycsb_b_ltm --seed 1 --seconds 4 --trace 0
+
 # Bench guard: regenerates the gate-scaling, netload, meta-scaling, and
 # store-scaling smokes (a ~1 s §6 gate microbench, a short loopback
 # netload run exercising the framed wire protocol end to end, a short
